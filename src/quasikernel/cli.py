@@ -35,8 +35,6 @@ from .reductions import add_source_gadget, c3_blowup, weighted_blowup
 from .solvers import (
     find_kernel,
     heavy_independent_set,
-    is_kernel,
-    is_quasi_kernel,
     kernel_perfect_number,
     max_large_quasi_kernel,
     max_sharp_quasi_kernel,
@@ -84,49 +82,49 @@ def _parse_set(text: str) -> int:
         raise ParseError(f"bad vertex list {text!r}: expected comma-separated integers") from None
 
 
-ALGS = ("min", "large", "sharp", "kernel", "heavy",
-        "partition-small", "partition-large", "partition-sources", "covering")
+def _solved(res):
+    return res.witness, res.objective, None
+
+
+def _sized(mask: int, trace=None):
+    return mask, mask.bit_count(), trace
+
+
+def _partition(d: Digraph):
+    return kernel_perfect_number(d)[1]
+
+
+def _solve_heavy(d: Digraph, args):
+    witness = heavy_independent_set(d)
+    return witness, n_minus_closed(d, witness).bit_count(), None
+
+
+def _solve_partition_small(d: Digraph, args):
+    trace = small_qk_from_partition(d, _partition(d), check_parts=False)
+    return _sized(trace.result, trace.to_json())
+
+
+# --alg name -> solver returning (witness, objective, trace JSON or None).
+# Every solver verifies its witness before returning.  The lambdas look the
+# library functions up at call time, so rebinding a module attribute works.
+SOLVERS = {
+    "min": lambda d, args: _solved(min_quasi_kernel(d)),
+    "large": lambda d, args: _solved(max_large_quasi_kernel(d)),
+    "sharp": lambda d, args: _solved(max_sharp_quasi_kernel(d)),
+    "kernel": lambda d, args: _solved(find_kernel(d)),
+    "heavy": _solve_heavy,
+    "partition-small": _solve_partition_small,
+    "partition-large": lambda d, args: _solved(
+        large_qk_from_partition(d, _partition(d), check_parts=False)),
+    "partition-sources": lambda d, args: _solved(
+        small_qk_with_sources(d, _partition(d), check_parts=False)),
+    "covering": lambda d, args: _sized(quasi_kernel_covering(d, _parse_set(args.set))),
+}
 
 
 def _cmd_solve(args) -> int:
     d = _read_digraph(args.input)
-    trace_json = None
-    if args.alg == "min":
-        res = min_quasi_kernel(d)
-        witness, objective = res.witness, res.objective
-    elif args.alg == "large":
-        res = max_large_quasi_kernel(d)
-        witness, objective = res.witness, res.objective
-    elif args.alg == "sharp":
-        res = max_sharp_quasi_kernel(d)
-        witness, objective = res.witness, res.objective
-    elif args.alg == "kernel":
-        res = find_kernel(d)
-        witness, objective = res.witness, res.objective
-    elif args.alg == "heavy":
-        witness = heavy_independent_set(d)
-        objective = n_minus_closed(d, witness).bit_count()
-    elif args.alg == "covering":
-        witness = quasi_kernel_covering(d, _parse_set(args.set))
-        objective = witness.bit_count()
-    else:
-        _, partition = kernel_perfect_number(d)
-        if args.alg == "partition-small":
-            trace = small_qk_from_partition(d, partition, check_parts=False)
-            witness, objective = trace.result, trace.result.bit_count()
-            trace_json = trace.to_json()
-        elif args.alg == "partition-large":
-            res = large_qk_from_partition(d, partition, check_parts=False)
-            witness, objective = res.witness, res.objective
-        else:
-            res = small_qk_with_sources(d, partition, check_parts=False)
-            witness, objective = res.witness, res.objective
-
-    if witness is not None:
-        ok = is_kernel(d, witness) if args.alg == "kernel" else (
-            True if args.alg == "heavy" else is_quasi_kernel(d, witness))
-        if not ok:
-            raise PostconditionViolationError("witness failed the final re-check")
+    witness, objective, trace_json = SOLVERS[args.alg](d, args)
     if args.format == "json":
         payload = {
             "witness": None if witness is None else list(vertices_of(witness)),
@@ -150,11 +148,14 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _spec(args) -> harness.ConjectureSpec:
+    return harness.ConjectureSpec(args.conjecture, harness.parse_alpha(args.alpha),
+                                  sink_free_version=args.conjecture == "small" or args.sink_free)
+
+
 def _cmd_check(args) -> int:
     d = _read_digraph(args.input)
-    spec = harness.ConjectureSpec(args.conjecture, harness.parse_alpha(args.alpha),
-                                  sink_free_version=args.conjecture == "small" or args.sink_free)
-    rec = harness.check(d, spec)
+    rec = harness.check(d, _spec(args))
     if args.format == "json":
         print(json.dumps(rec.to_json(), separators=(",", ":")))
     else:
@@ -166,11 +167,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = harness.ConjectureSpec(args.conjecture, harness.parse_alpha(args.alpha),
-                                  sink_free_version=args.conjecture == "small" or args.sink_free)
-    sink_free = args.sink_free or spec.sink_free_version
-    stream = enumerate_digraphs(args.n, sink_free=sink_free, canonical=args.canonical)
-    corpus = f"labeled:n={args.n}" + (":sink_free" if sink_free else "") + (
+    spec = _spec(args)
+    stream = enumerate_digraphs(args.n, sink_free=spec.sink_free_version, canonical=args.canonical)
+    corpus = f"labeled:n={args.n}" + (":sink_free" if spec.sink_free_version else "") + (
         ":canonical" if args.canonical else "")
     keep = args.records or args.format == "csv"
     report = harness.sweep(stream, spec, corpus, shard_count=args.shards,
@@ -237,7 +236,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="run one solver on one digraph")
-    p.add_argument("--alg", choices=ALGS, required=True)
+    p.add_argument("--alg", choices=tuple(SOLVERS), required=True)
     p.add_argument("--input", default="-", help="digraph file, '-' for stdin")
     p.add_argument("--set", default="", help="vertex list for --alg covering, e.g. 0,2")
     p.add_argument("--trace", action="store_true", help="emit the partition-small audit trace")

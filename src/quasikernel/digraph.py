@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -38,18 +37,6 @@ MAX_VERTICES = 63
 ENUMERATE_ALL_BUDGET = 5
 ENUMERATE_CANONICAL_BUDGET = 6
 CANONICAL_FORM_BUDGET = 8
-
-
-class Infinite(Enum):
-    """Sentinel for unreachable vertex pairs in dist()."""
-
-    INF = "inf"
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "INF"
-
-
-INF = Infinite.INF
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -186,27 +173,7 @@ def check_set(d: Digraph, mask: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# neighbourhoods and distance
-
-
-def out_neighbors(d: Digraph, v: int) -> int:
-    _check_vertex(d, v)
-    return d.rows[v]
-
-
-def in_neighbors(d: Digraph, v: int) -> int:
-    _check_vertex(d, v)
-    return d.in_rows[v]
-
-
-def closed_out_neighbors(d: Digraph, v: int) -> int:
-    _check_vertex(d, v)
-    return d.rows[v] | (1 << v)
-
-
-def closed_in_neighbors(d: Digraph, v: int) -> int:
-    _check_vertex(d, v)
-    return d.in_rows[v] | (1 << v)
+# neighbourhoods
 
 
 def n_plus_set(d: Digraph, s: int) -> int:
@@ -251,31 +218,6 @@ def n_minus_closed(d: Digraph, s: int) -> int:
 def n_minus_minus_closed(d: Digraph, s: int) -> int:
     """Every vertex within directed distance 2 to S."""
     return n_minus_closed(d, n_minus_closed(d, s))
-
-
-def dist(d: Digraph, u: int, v: int) -> int | Infinite:
-    """Length of a shortest directed u->v path; INF when unreachable."""
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    if u == v:
-        return 0
-    rows = d.rows
-    seen = 1 << u
-    frontier = seen
-    target = 1 << v
-    steps = 0
-    while frontier:
-        steps += 1
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= rows[low.bit_length() - 1]
-            frontier ^= low
-        if nxt & target:
-            return steps
-        frontier = nxt & ~seen
-        seen |= nxt
-    return INF
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .digraph import Digraph, adjacency_code, digraph_from_code, is_sink_free, sources_not_sinks, vertices_of
 from .exceptions import ParseError, PostconditionViolationError
-from .solvers import (
+from .solvers import (  # looked up by name in check()
     max_large_quasi_kernel,
     max_sharp_quasi_kernel,
     min_quasi_kernel,
@@ -31,7 +31,24 @@ from .solvers import (
 
 HARNESS_VERSION = "1"
 
-VARIANTS = ("small", "sources", "large", "sharp")
+
+class _Variant(NamedTuple):
+    """A bound: the solver that computes the objective, whether the bound
+    caps it from above, and the count alpha multiplies."""
+
+    solver: str
+    minimise: bool
+    scale: Callable[[Digraph], int]
+
+
+# small is sources with s = n; sharp is large against the doubled 2n
+_VARIANTS = {
+    "small": _Variant("min_quasi_kernel", True, lambda d: d.n),
+    "sources": _Variant("min_quasi_kernel", True, lambda d: sources_not_sinks(d).bit_count()),
+    "large": _Variant("max_large_quasi_kernel", False, lambda d: d.n),
+    "sharp": _Variant("max_sharp_quasi_kernel", False, lambda d: 2 * d.n),
+}
+VARIANTS = tuple(_VARIANTS)
 
 
 def parse_alpha(text: str) -> Fraction:
@@ -106,26 +123,19 @@ def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
     """Exact pass/fail of one bound on one digraph."""
     if spec.sink_free_version and not is_sink_free(d):
         raise ValueError("spec is for sink-free digraphs but the input has a sink")
+    solver, minimise, scale = _VARIANTS[spec.variant]
     num, den = spec.alpha.numerator, spec.alpha.denominator
-    n = d.n
-    if spec.variant == "small":
-        res = min_quasi_kernel(d)
-        bound = Fraction((den - num) * n, den)
-        passed = den * res.objective <= (den - num) * n
-    elif spec.variant == "sources":
-        res = min_quasi_kernel(d)
-        s = sources_not_sinks(d).bit_count()
-        bound = Fraction(den * n - num * s, den)
-        passed = den * res.objective <= den * n - num * s
-    elif spec.variant == "large":
-        res = max_large_quasi_kernel(d)
-        bound = Fraction(num * n, den)
-        passed = den * res.objective >= num * n
-    else:  # sharp, doubled objective against doubled bound
-        res = max_sharp_quasi_kernel(d)
-        bound = Fraction(2 * num * n, den)
-        passed = den * res.objective >= 2 * num * n
-    return CheckRecord(n, format(adjacency_code(d), "x"), res.objective, bound, passed, res.witness)
+    # by name at call time, so a rebound module attribute takes effect
+    res = globals()[solver](d)
+    scaled = scale(d)
+    if minimise:  # objective <= n - alpha * scale
+        limit = den * d.n - num * scaled
+        passed = den * res.objective <= limit
+    else:  # objective >= alpha * scale
+        limit = num * scaled
+        passed = den * res.objective >= limit
+    return CheckRecord(d.n, format(adjacency_code(d), "x"), res.objective, Fraction(limit, den),
+                       passed, res.witness)
 
 
 def slack(record: CheckRecord, spec: ConjectureSpec) -> Fraction | None:
@@ -134,7 +144,7 @@ def slack(record: CheckRecord, spec: ConjectureSpec) -> Fraction | None:
     if record.n == 0:
         return None
     diff = Fraction(record.objective) - record.bound
-    if spec.variant in ("small", "sources"):
+    if _VARIANTS[spec.variant].minimise:
         diff = -diff
     return diff / record.n
 
@@ -187,9 +197,7 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     min_sl: Fraction | None = None
     extremal: list[CheckRecord] = []
     records: list[CheckRecord] = []
-    for i, d in enumerate(digraphs):
-        if i % shard_count != shard_index:
-            continue
+    for d in iter_shard(digraphs, shard_count, shard_index):
         rec = check(d, spec)
         count += 1
         if keep_records:
@@ -217,16 +225,13 @@ def _assert_small_large_disjunction(d: Digraph, spec: ConjectureSpec) -> None:
         return
     if spec.variant == "small":
         other = ConjectureSpec("large", spec.alpha)
-        if not check(d, other).passed:
-            raise PostconditionViolationError(
-                "small and large bounds both failed; impossible for alpha <= 1/2")
-    else:
-        if not is_sink_free(d):
-            return
+    elif is_sink_free(d):
         other = ConjectureSpec("small", spec.alpha, sink_free_version=True)
-        if not check(d, other).passed:
-            raise PostconditionViolationError(
-                "small and large bounds both failed; impossible for alpha <= 1/2")
+    else:
+        return
+    if not check(d, other).passed:
+        raise PostconditionViolationError(
+            "small and large bounds both failed; impossible for alpha <= 1/2")
 
 
 def merge_reports(a: Report, b: Report) -> Report:
@@ -261,11 +266,6 @@ def report_to_csv(report: Report) -> str:
             f"{rec.code_hex},{rec.n},{rec.objective},"
             f"{rec.bound.numerator},{rec.bound.denominator},{int(rec.passed)}")
     return "\n".join(lines) + "\n"
-
-
-def extremal_over(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str) -> Report:
-    """Sweep keeping only the aggregate plus all slack minimizers."""
-    return sweep(digraphs, spec, corpus)
 
 
 def iter_shard(digraphs: Iterable[Digraph], shard_count: int, shard_index: int) -> Iterator[Digraph]:

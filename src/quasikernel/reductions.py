@@ -181,29 +181,28 @@ def block_coverage_split(bmap: BlowupMap, qprime: int) -> tuple[int, int]:
     return inside, outside
 
 
-def sink_peel(solver: Callable[[Digraph], SolveResult], d: Digraph,
-              score: Callable[[Digraph, int], int] = large_score) -> SolveResult:
+def sink_peel(solver: Callable[[Digraph], SolveResult], d: Digraph) -> SolveResult:
     """Lift a sink-free-only quasi-kernel solver to arbitrary digraphs.
 
     Take the smallest-index sink v: v belongs to some quasi-kernel, v covers
     N^-[v], and no arc leaves v, so recursing on the subdigraph induced by
     V minus N^-[v] and adding v back preserves independence and coverage.
-    The objective is recomputed with ``score`` on the original digraph.
+    The objective is recomputed with ``large_score`` on the original digraph.
     """
     sink_mask = sinks(d)
     if not sink_mask:
         res = solver(d)
         if res.witness is None or not is_quasi_kernel(d, res.witness):
             raise PostconditionViolationError("solver returned a bad witness on the sink-free base")
-        return SolveResult(res.witness, score(d, res.witness), True)
+        return SolveResult(res.witness, large_score(d, res.witness), True)
     v = (sink_mask & -sink_mask).bit_length() - 1
     keep = d.vertex_mask & ~n_minus_closed(d, 1 << v)
     sub, emb = induced(d, keep)
-    rec = sink_peel(solver, sub, score)
+    rec = sink_peel(solver, sub)
     q = expand_set(rec.witness, emb) | (1 << v)
     if not is_quasi_kernel(d, q):
         raise PostconditionViolationError("peel reassembly broke the quasi-kernel")
-    return SolveResult(q, score(d, q), True)
+    return SolveResult(q, large_score(d, q), True)
 
 
 @dataclass(frozen=True)
@@ -260,11 +259,6 @@ def matching_split(d: Digraph, q: int) -> MatchingSplit:
     return MatchingSplit(q, n_set, m_set, q1, q2, tuple(pairs))
 
 
-def _brute_force_sources_oracle(d: Digraph) -> SolveResult:
-    """Reference with-sources solver: the exact minimum quasi-kernel."""
-    return min_quasi_kernel(d)
-
-
 def qk_via_ii_oracle(d: Digraph, alpha: Fraction,
                      oracle: Callable[[Digraph], SolveResult] | None = None) -> SolveResult:
     """Sink-free quasi-kernel of size <= n/(1+alpha) from a with-sources
@@ -285,8 +279,8 @@ def qk_via_ii_oracle(d: Digraph, alpha: Fraction,
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if oracle is None:
-        oracle = _brute_force_sources_oracle
+    if oracle is None:  # the exact minimum quasi-kernel
+        oracle = min_quasi_kernel
     num, den = alpha.numerator, alpha.denominator
 
     q = min_quasi_kernel(d).witness

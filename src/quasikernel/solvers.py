@@ -28,7 +28,6 @@ from .digraph import (
     Partition,
     check_set,
     induced,
-    is_acyclic_set,
     is_independent,
     n_minus_closed,
     n_minus_minus_closed,
@@ -163,9 +162,9 @@ def sharp_score(d: Digraph, q: int) -> int:
     return q.bit_count() + 2 * n_minus_set(d, q).bit_count()
 
 
-def max_large_quasi_kernel(d: Digraph) -> SolveResult:
-    """Quasi-kernel maximizing |n_minus_closed(D, Q)|; first optimum in
-    ascending mask order."""
+def _max_quasi_kernel(d: Digraph, score) -> SolveResult:
+    """Quasi-kernel maximizing ``score(d, Q)``; first optimum in ascending
+    mask order."""
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
@@ -173,7 +172,7 @@ def max_large_quasi_kernel(d: Digraph) -> SolveResult:
     best_obj = -1
     for mask in range(full + 1):
         if _qk_raw(rows, in_rows, full, mask):
-            obj = n_minus_closed(d, mask).bit_count()
+            obj = score(d, mask)
             if obj > best_obj:
                 best, best_obj = mask, obj
     if best is None:
@@ -181,25 +180,16 @@ def max_large_quasi_kernel(d: Digraph) -> SolveResult:
     if not is_quasi_kernel(d, best):
         raise PostconditionViolationError("quasi-kernel search returned a bad witness")
     return SolveResult(best, best_obj, True)
+
+
+def max_large_quasi_kernel(d: Digraph) -> SolveResult:
+    """Quasi-kernel maximizing |n_minus_closed(D, Q)|."""
+    return _max_quasi_kernel(d, large_score)
 
 
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
     """Quasi-kernel maximizing the doubled objective |Q| + 2|N^-(Q)|."""
-    rows = d.rows
-    in_rows = d.in_rows
-    full = d.vertex_mask
-    best = None
-    best_obj = -1
-    for mask in range(full + 1):
-        if _qk_raw(rows, in_rows, full, mask):
-            obj = mask.bit_count() + 2 * n_minus_set(d, mask).bit_count()
-            if obj > best_obj:
-                best, best_obj = mask, obj
-    if best is None:
-        raise AssertionError("no quasi-kernel found; digraphs always have one")
-    if not is_quasi_kernel(d, best):
-        raise PostconditionViolationError("quasi-kernel search returned a bad witness")
-    return SolveResult(best, best_obj, True)
+    return _max_quasi_kernel(d, sharp_score)
 
 
 def minimalize_quasi_kernel(d: Digraph, q: int) -> int:
@@ -233,10 +223,10 @@ def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
     return q
 
 
-def quasi_kernels(d: Digraph, budget: int = ENUMERATION_BUDGET):
+def quasi_kernels(d: Digraph):
     """Yield every quasi-kernel mask in ascending numeric order."""
-    if d.n > budget:
-        raise BudgetExceededError(f"quasi-kernel enumeration budget is n <= {budget}")
+    if d.n > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"quasi-kernel enumeration budget is n <= {ENUMERATION_BUDGET}")
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
@@ -330,7 +320,7 @@ def _kernel_perfect_table(d: Digraph) -> bytearray:
     return table
 
 
-def is_kernel_perfect(d: Digraph, s: int, budget: int = KERNEL_PERFECT_BUDGET) -> bool:
+def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
     Odd-dicycle-free induced subdigraphs are kernel-perfect (every induced
@@ -338,8 +328,8 @@ def is_kernel_perfect(d: Digraph, s: int, budget: int = KERNEL_PERFECT_BUDGET) -
     queries without touching the 2^|S| table.
     """
     check_set(d, s)
-    if s.bit_count() > budget:
-        raise BudgetExceededError(f"kernel-perfect check budget is |S| <= {budget}")
+    if s.bit_count() > KERNEL_PERFECT_BUDGET:
+        raise BudgetExceededError(f"kernel-perfect check budget is |S| <= {KERNEL_PERFECT_BUDGET}")
     sub, _ = induced(d, s)
     if odd_dicycle_free(sub):
         return True
@@ -385,42 +375,36 @@ def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok: bytearr
     return False
 
 
-def kernel_perfect_number(d: Digraph, budget: int = PARTITION_BUDGET) -> tuple[int, Partition]:
+def _partition_number(d: Digraph, table) -> tuple[int, tuple[int, ...]]:
+    """Least number of parts whose masks ``table(d)`` accepts, with the
+    first certifying parts in restricted-growth order."""
+    if d.n > PARTITION_BUDGET:
+        raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
+    return _min_partition_rgs(d.n, table(d))
+
+
+def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     """Least number of kernel-perfect parts covering the vertex set, with the
     first certifying partition in restricted-growth order."""
-    if d.n > budget:
-        raise BudgetExceededError(f"partition search budget is n <= {budget}")
-    if d.n == 0:
-        return 0, Partition((), "kernel-perfect")
-    k, parts = _min_partition_rgs(d.n, _kernel_perfect_table(d))
+    k, parts = _partition_number(d, _kernel_perfect_table)
     return k, Partition(parts, "kernel-perfect")
 
 
-def chromatic_number(d: Digraph, budget: int = PARTITION_BUDGET) -> int:
+def chromatic_number(d: Digraph) -> int:
     """Chromatic number of the underlying undirected graph."""
-    if d.n > budget:
-        raise BudgetExceededError(f"partition search budget is n <= {budget}")
-    if d.n == 0:
-        return 0
-    k, _ = _min_partition_rgs(d.n, _independence_table(d))
-    return k
+    return _partition_number(d, _independence_table)[0]
 
 
-def dichromatic_number(d: Digraph, budget: int = PARTITION_BUDGET) -> int:
+def dichromatic_number(d: Digraph) -> int:
     """Least number of acyclic parts covering the vertex set."""
-    if d.n > budget:
-        raise BudgetExceededError(f"partition search budget is n <= {budget}")
-    if d.n == 0:
-        return 0
-    k, _ = _min_partition_rgs(d.n, _acyclic_table(d))
-    return k
+    return _partition_number(d, _acyclic_table)[0]
 
 
 # ---------------------------------------------------------------------------
 # heavy independent sets
 
 
-def heavy_independent_set(d: Digraph, budget: int = ENUMERATION_BUDGET) -> int:
+def heavy_independent_set(d: Digraph) -> int:
     """Maximal independent set with at least as many in- as out-neighbours.
 
     Exhaustive: returns the first mask in (cardinality, numeric) order that
@@ -430,12 +414,14 @@ def heavy_independent_set(d: Digraph, budget: int = ENUMERATION_BUDGET) -> int:
     not work; the digraph 1->0, 0->2, 3->1 defeats the natural one, because
     a later pick can feed arcs to vertices deleted earlier.
 
-    Exhaustion raises: no digraph without such a set is known, so running
-    past the search space signals either a library bug or a genuine
-    counterexample worth reporting.
+    Exhaustion raises PostconditionViolationError ("potential
+    counterexample").  Every digraph on at most 5 vertices has such a set,
+    but some on 6 do not: 0->3, 0->4, 0->5, 1->3, 1->4, 1->5, 2->0, 3->2,
+    4->0, 4->1, 4->2, 5->2 has the maximal independent sets {0, 1}, {1, 2}
+    and {3, 4, 5}, and none of them is in-heavy.
     """
-    if d.n > budget:
-        raise BudgetExceededError(f"heavy independent set search budget is n <= {budget}")
+    if d.n > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"heavy independent set search budget is n <= {ENUMERATION_BUDGET}")
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask

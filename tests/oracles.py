@@ -8,7 +8,6 @@ does, so shared bugs are unlikely.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 
 
 def adj_of(d):
@@ -24,22 +23,6 @@ def radj_of(d):
     for u, v in d.arcs():
         rad[v].add(u)
     return rad
-
-
-def oracle_dist(d, u, v):
-    """BFS distance from u to v, or None if unreachable."""
-    adj = adj_of(d)
-    seen = {u}
-    queue = deque([(u, 0)])
-    while queue:
-        x, k = queue.popleft()
-        if x == v:
-            return k
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append((y, k + 1))
-    return None
 
 
 def oracle_n_minus(d, s):

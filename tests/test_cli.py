@@ -148,6 +148,139 @@ def test_solve_rejects_unknown_alg(capsys, c4_file):
 
 
 # ---------------------------------------------------------------------------
+# solve: exact stdout and exit code of every --alg
+
+GOLDEN_FLAGS = {"covering": ["--set", "0,1"], "partition-small": ["--trace"]}
+
+# (alg, family, format, exit code, stdout); random:7 has a sink, which
+# partition-small rejects, and the tournament has no kernel
+SOLVE_GOLDEN = [
+    ("min", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
+    ("min", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
+    ("min", "random:7:1/3:5", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
+    ("min", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
+    ("min", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\n'),
+    ("min", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":1,"verified":true}\n'),
+    ("large", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
+    ("large", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
+    ("large", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 7\nverified: true\n'),
+    ("large", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":7,"verified":true}\n'),
+    ("large", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
+    ("large", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
+    ("sharp", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 6\nverified: true\n'),
+    ("sharp", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":6,"verified":true}\n'),
+    ("sharp", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 11\nverified: true\n'),
+    ("sharp", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":11,"verified":true}\n'),
+    ("sharp", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 9\nverified: true\n'),
+    ("sharp", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":9,"verified":true}\n'),
+    ("kernel", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
+    ("kernel", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
+    ("kernel", "cycle:3", "text", 0,
+     'witness: none\n'),
+    ("kernel", "cycle:3", "json", 0,
+     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
+    ("kernel", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
+    ("kernel", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
+    ("kernel", "random_tournament:6:3", "text", 0,
+     'witness: none\n'),
+    ("kernel", "random_tournament:6:3", "json", 0,
+     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
+    ("heavy", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
+    ("heavy", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
+    ("heavy", "random:7:1/3:5", "text", 0,
+     'witness: {1, 3}\nsize: 2\nobjective: 6\nverified: true\n'),
+    ("heavy", "random:7:1/3:5", "json", 0,
+     '{"witness":[1,3],"size":2,"objective":6,"verified":true}\n'),
+    ("heavy", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
+    ("heavy", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
+    ("partition-small", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\ntrace: {"kernel":[0,2],"core":[0,2],"refined_parts":[[],[0,1,2,3],[]],"remainder":[],"branch":"part:2","result":[0,2]}\n'),
+    ("partition-small", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true,"trace":{"kernel":[0,2],"core":[0,2],"refined_parts":[[],[0,1,2,3],[]],"remainder":[],"branch":"part:2","result":[0,2]}}\n'),
+    ("partition-small", "random:7:1/3:5", "text", 1,
+     ''),
+    ("partition-small", "random:7:1/3:5", "json", 1,
+     ''),
+    ("partition-small", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\ntrace: {"kernel":[0],"core":[0],"refined_parts":[[],[0,1,2,3,4],[5]],"remainder":[5],"branch":"otherwise","result":[0]}\n'),
+    ("partition-small", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":1,"verified":true,"trace":{"kernel":[0],"core":[0],"refined_parts":[[],[0,1,2,3,4],[5]],"remainder":[5],"branch":"otherwise","result":[0]}}\n'),
+    ("partition-large", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
+    ("partition-large", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
+    ("partition-large", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 7\nverified: true\n'),
+    ("partition-large", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":7,"verified":true}\n'),
+    ("partition-large", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
+    ("partition-large", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
+    ("partition-sources", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
+    ("partition-sources", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
+    ("partition-sources", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
+    ("partition-sources", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
+    ("partition-sources", "random_tournament:6:3", "text", 0,
+     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\n'),
+    ("partition-sources", "random_tournament:6:3", "json", 0,
+     '{"witness":[0],"size":1,"objective":1,"verified":true}\n'),
+    ("covering", "cycle:4", "text", 0,
+     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
+    ("covering", "cycle:4", "json", 0,
+     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
+    ("covering", "random:7:1/3:5", "text", 0,
+     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
+    ("covering", "random:7:1/3:5", "json", 0,
+     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
+    ("covering", "random_tournament:6:3", "text", 0,
+     'witness: {5}\nsize: 1\nobjective: 1\nverified: true\n'),
+    ("covering", "random_tournament:6:3", "json", 0,
+     '{"witness":[5],"size":1,"objective":1,"verified":true}\n'),
+]
+
+
+@pytest.mark.parametrize("alg,family,fmt,code,stdout", SOLVE_GOLDEN,
+                         ids=[f"{a}-{f}-{m}" for a, f, m, _, _ in SOLVE_GOLDEN])
+def test_solve_golden(capsys, tmp_path, alg, family, fmt, code, stdout):
+    path = tmp_path / "d.dg"
+    path.write_text(serialize(make(parse_family(family))))
+    got_code, out, _ = run(capsys, ["solve", "--alg", alg, "--input", str(path),
+                                    "--format", fmt] + GOLDEN_FLAGS.get(alg, []))
+    assert (got_code, out) == (code, stdout)
+
+
+# ---------------------------------------------------------------------------
 # check
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from quasikernel import (
     Digraph,
-    Infinite,
     ParseError,
     Partition,
     BudgetExceededError,
@@ -15,7 +14,6 @@ from quasikernel import (
     digraph_from_code,
     digraph_from_json,
     digraph_to_json,
-    dist,
     dumps_json,
     enumerate_digraphs,
     is_acyclic_set,
@@ -139,27 +137,6 @@ def test_set_arguments_are_validated():
         n_minus_set(d, 0b100)
     with pytest.raises(ValueError):
         n_minus_closed(d, -1)
-
-
-@given(digraphs, st.data())
-def test_dist_matches_bfs(d, data):
-    if d.n == 0:
-        return
-    u = data.draw(st.integers(min_value=0, max_value=d.n - 1))
-    v = data.draw(st.integers(min_value=0, max_value=d.n - 1))
-    got = dist(d, u, v)
-    want = oracles.oracle_dist(d, u, v)
-    if want is None:
-        assert got is Infinite.INF
-    else:
-        assert got == want
-
-
-def test_dist_unreachable_is_inf():
-    d = dg(2, [(0, 1)])
-    assert dist(d, 1, 0) is Infinite.INF
-    assert dist(d, 0, 1) == 1
-    assert dist(d, 0, 0) == 0
 
 
 # ---------------------------------------------------------------------------

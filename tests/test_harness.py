@@ -10,7 +10,6 @@ from quasikernel import (
     ParseError,
     adjacency_code,
     check,
-    extremal_over,
     iter_shard,
     make,
     merge_reports,
@@ -282,13 +281,6 @@ def test_merge_rejects_mismatches():
         merge_reports(a, sweep(corpus, ConjectureSpec("large", HALF), "c"))
     with pytest.raises(ValueError):
         merge_reports(a, dataclasses.replace(b, version="0"))
-
-
-def test_extremal_over_equals_plain_sweep():
-    corpus = all_digraphs(3, sink_free=True)
-    a = extremal_over(corpus, SMALL_HALF, "c")
-    b = sweep(corpus, SMALL_HALF, "c")
-    assert _aggregate(a) == _aggregate(b)
 
 
 def test_report_json_roundtrip():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from quasikernel import (
     BudgetExceededError,
     Digraph,
+    PostconditionViolationError,
     chromatic_number,
     dichromatic_number,
     find_kernel,
@@ -295,6 +296,27 @@ def test_heavy_set_properties(code):
         und |= d.rows[v] | d.in_rows[v]
         assert not (d.rows[v] & r)
     assert und == d.vertex_mask
+
+
+def test_heavy_set_absent_at_n6():
+    # every digraph on at most 5 vertices has an in-heavy maximal
+    # independent set (acceptance criterion 05); this one on 6 has none
+    d = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
+               (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
+    with pytest.raises(PostconditionViolationError, match="potential counterexample"):
+        heavy_independent_set(d)
+    adj = oracles.adj_of(d)
+    vertices = set(range(d.n))
+    maximal = []
+    for size in range(d.n + 1):
+        for s in map(set, itertools.combinations(range(d.n), size)):
+            if oracles.oracle_is_independent(d, s) and not any(
+                    oracles.oracle_is_independent(d, s | {v}) for v in vertices - s):
+                maximal.append(s)
+    assert maximal == [{0, 1}, {1, 2}, {3, 4, 5}]
+    for s in maximal:
+        n_plus = {w for v in s for w in adj[v]} - s
+        assert len(oracles.oracle_n_minus(d, s)) < len(n_plus)
 
 
 def test_heavy_budget():
