@@ -322,10 +322,15 @@ def reverse(d: Digraph) -> Digraph:
 # odd dicycles
 
 _SPREAD: dict[int, int] = {0: 0}
+_SPREAD_CAP = 1 << 16
 
 
 def _spread(row: int) -> int:
-    """Move bit w to bit 2w, memoized (rows repeat heavily across sweeps)."""
+    """Move bit w to bit 2w, memoized (rows repeat heavily across sweeps).
+
+    The memo is emptied when full, so random rows cannot grow it without
+    bound; hits pay nothing for that.
+    """
     try:
         return _SPREAD[row]
     except KeyError:
@@ -335,6 +340,8 @@ def _spread(row: int) -> int:
             low = m & -m
             acc |= 1 << (2 * (low.bit_length() - 1))
             m ^= low
+        if len(_SPREAD) >= _SPREAD_CAP:
+            _SPREAD.clear()
         _SPREAD[row] = acc
         return acc
 

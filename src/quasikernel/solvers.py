@@ -6,9 +6,13 @@ to two steps.  Kernels can be absent (the directed triangle); quasi-kernels
 always exist in a finite digraph, so an exhausted search is a bug, not a
 result.
 
-Everything here is exhaustive and exact, sized for a desk: subsets are walked
-as bit masks in (cardinality, numeric) order, so the returned witnesses are
-the lexicographically first optima and identical runs give identical output.
+Everything here is exhaustive and exact, sized for a desk, and identical runs
+give identical output.  The minimum searches (kernels, minimum quasi-kernels,
+heavy independent sets) walk bit masks in (cardinality, numeric) order and
+return the first hit.  The maximum quasi-kernel searches (large, sharp) only
+score maximal independent sets, listed by Bron--Kerbosch with Tomita pivoting,
+because every optimum is one; ties go to the least mask, so the witness is
+still the first optimum in ascending mask order.
 Subset-indexed predicate tables (independent / acyclic / has-kernel /
 kernel-perfect) cost O(2^n) to O(3^n) and back the partition-number searches:
 the minimum number of parts is found by trying k = 1, 2, ... and walking
@@ -40,6 +44,7 @@ from .exceptions import BudgetExceededError, PostconditionViolationError
 KERNEL_PERFECT_BUDGET = 16
 PARTITION_BUDGET = 12
 ENUMERATION_BUDGET = 20
+MIS_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -162,18 +167,78 @@ def sharp_score(d: Digraph, q: int) -> int:
     return q.bit_count() + 2 * n_minus_set(d, q).bit_count()
 
 
+def _maximal_independent_sets(d: Digraph) -> list[int]:
+    """Every maximal independent set of the underlying undirected graph, as
+    masks in no particular order, each exactly once.
+
+    Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
+    (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
+    reached by disjoint triangles.
+    """
+    n = d.n
+    if n > MIS_BUDGET:
+        raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
+    if not n:
+        return [0]  # the empty set; the search below reports only nonempty sets
+    rows = d.rows
+    in_rows = d.in_rows
+    closed = [rows[v] | in_rows[v] | 1 << v for v in range(n)]
+    out = []
+    # (r, p, x): r is independent; p and x hold the vertices with no arc to
+    # or from r, those still to branch on and those already branched on
+    stack = [(0, d.vertex_mask, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        # every set still to report takes a vertex of p & closed[u] for each
+        # u in p | x (else u could join it), so branch on the smallest one
+        branch = p
+        least = n + 1
+        probe = p | x
+        while probe:
+            low = probe & -probe
+            cand = p & closed[low.bit_length() - 1]
+            size = cand.bit_count()
+            if size < least:
+                branch, least = cand, size
+                if size <= 1:
+                    break
+            probe ^= low
+        while branch:
+            low = branch & -branch
+            cv = closed[low.bit_length() - 1]
+            p_next = p & ~cv
+            x_next = x & ~cv
+            if p_next:
+                stack.append((r | low, p_next, x_next))
+            elif not x_next:
+                out.append(r | low)
+            p ^= low
+            x |= low
+            branch ^= low
+    return out
+
+
 def _max_quasi_kernel(d: Digraph, score) -> SolveResult:
     """Quasi-kernel maximizing ``score(d, Q)``; first optimum in ascending
-    mask order."""
+    mask order.
+
+    Only maximal independent sets are scored.  If a quasi-kernel Q has a
+    vertex v with no arc to or from Q, then Q + v is independent and still
+    reaches every vertex within two steps, so it is a quasi-kernel.  It
+    scores strictly higher on both objectives: v joins n_minus_closed(D, Q),
+    and |Q| grows while n_minus_set(D, Q) keeps every member, since v has no
+    arc into Q.  So every optimum is a maximal independent set, and the
+    least-mask optimal one is the first optimum over all masks.
+    """
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
     best = None
     best_obj = -1
-    for mask in range(full + 1):
+    for mask in _maximal_independent_sets(d):
         if _qk_raw(rows, in_rows, full, mask):
             obj = score(d, mask)
-            if obj > best_obj:
+            if obj > best_obj or obj == best_obj and mask < best:
                 best, best_obj = mask, obj
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")

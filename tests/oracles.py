@@ -70,11 +70,19 @@ def oracle_min_qk(d):
     raise AssertionError("every digraph has a quasi-kernel")
 
 
+def oracle_large_objective(d, s):
+    return len(oracle_n_minus_closed(d, s))
+
+
+def oracle_sharp_objective(d, s):
+    return len(s) + 2 * len(oracle_n_minus(d, s))
+
+
 def oracle_max_large(d):
     best = -1
     for s in subsets_by_size(d.n):
         if oracle_is_qk(d, s):
-            best = max(best, len(oracle_n_minus_closed(d, s)))
+            best = max(best, oracle_large_objective(d, s))
     return best
 
 
@@ -82,8 +90,26 @@ def oracle_max_sharp(d):
     best = -1
     for s in subsets_by_size(d.n):
         if oracle_is_qk(d, s):
-            best = max(best, len(s) + 2 * len(oracle_n_minus(d, s)))
+            best = max(best, oracle_sharp_objective(d, s))
     return best
+
+
+def oracle_first_max_qk(d, objective):
+    """Quasi-kernel maximizing objective(d, s), ties to the least mask
+    sum(2^v): the first optimum of an ascending walk over all masks."""
+    qks = [frozenset(s) for s in subsets_by_size(d.n) if oracle_is_qk(d, s)]
+    return max(qks, key=lambda s: (objective(d, s), -sum(1 << v for v in s)))
+
+
+def oracle_maximal_independent_sets(d):
+    """Independent sets that no further vertex can join, as frozensets."""
+    vertices = set(range(d.n))
+    out = []
+    for s in map(set, subsets_by_size(d.n)):
+        if oracle_is_independent(d, s) and not any(
+                oracle_is_independent(d, s | {v}) for v in vertices - s):
+            out.append(frozenset(s))
+    return out
 
 
 def oracle_has_odd_dicycle(d):

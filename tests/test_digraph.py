@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from quasikernel import (
     sources_not_sinks,
     vertices_of,
 )
+from quasikernel import digraph
 from quasikernel.digraph import (
     compress_set,
     disjoint_union,
@@ -229,6 +231,16 @@ def test_even_cycles_are_odd_free():
 
 def test_two_cycle_is_even():
     assert odd_dicycle_free(dg(2, [(0, 1), (1, 0)]))
+
+
+def test_spread_memo_stays_bounded():
+    rnd = random.Random(3)
+    for _ in range(2 * digraph._SPREAD_CAP + 100):
+        row = rnd.getrandbits(24)
+        got = digraph._spread(row)
+        assert len(digraph._SPREAD) <= digraph._SPREAD_CAP
+    assert got == sum(1 << 2 * w for w in range(24) if row >> w & 1)
+    assert not odd_dicycle_free(dg(3, [(0, 1), (1, 2), (2, 0)]))
 
 
 # ---------------------------------------------------------------------------

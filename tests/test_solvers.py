@@ -31,7 +31,13 @@ from quasikernel import (
     vertices_of,
 )
 from quasikernel.digraph import digraph_from_code, enumerate_digraphs
-from quasikernel.solvers import _has_kernel_table, _masks_by_size, check_set
+from quasikernel.solvers import (
+    SolveResult,
+    _has_kernel_table,
+    _masks_by_size,
+    _maximal_independent_sets,
+    check_set,
+)
 
 import oracles
 from conftest import all_digraphs, dg, mask_to_set
@@ -131,6 +137,76 @@ def test_max_sharp_matches_oracle(code):
     res = max_sharp_quasi_kernel(d)
     assert res.objective == oracles.oracle_max_sharp(d)
     assert res.objective == sharp_score(d, res.witness)
+
+
+def _digraphs_of_order(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).flatmap(
+        lambda n: st.builds(digraph_from_code, st.just(n),
+                            st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
+
+
+def _mis_matches_oracle(d):
+    got = _maximal_independent_sets(d)
+    assert len(got) == len(set(got))
+    assert {frozenset(vertices_of(m)) for m in got} == set(oracles.oracle_maximal_independent_sets(d))
+
+
+def test_maximal_independent_sets_match_oracle_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            _mis_matches_oracle(d)
+
+
+@given(_digraphs_of_order(5, 8))
+@settings(max_examples=60, deadline=None)
+def test_maximal_independent_sets_match_oracle(d):
+    _mis_matches_oracle(d)
+
+
+MAX_QK = ((max_large_quasi_kernel, oracles.oracle_large_objective),
+          (max_sharp_quasi_kernel, oracles.oracle_sharp_objective))
+
+
+def _max_witness_is_first_optimum(d):
+    maximal = set(oracles.oracle_maximal_independent_sets(d))
+    for solver, objective in MAX_QK:
+        res = solver(d)
+        want = oracles.oracle_first_max_qk(d, objective)
+        assert frozenset(vertices_of(res.witness)) == want
+        assert res.objective == objective(d, want)
+        assert want in maximal
+        assert res.verified
+
+
+def test_max_witness_is_first_optimum_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            _max_witness_is_first_optimum(d)
+
+
+@given(_digraphs_of_order(6, 9))
+@settings(max_examples=40, deadline=None)
+def test_max_witness_is_first_optimum(d):
+    _max_witness_is_first_optimum(d)
+
+
+def test_max_quasi_kernels_on_the_empty_digraph():
+    d = Digraph(0, ())
+    assert _maximal_independent_sets(d) == [0]
+    for solver, _ in MAX_QK:
+        assert solver(d) == SolveResult(0, 0, True)
+
+
+def test_max_quasi_kernel_budget():
+    triangles = dg(30, [(3 * i + a, 3 * i + (a + 1) % 3) for i in range(10) for a in range(3)])
+    # 3^10 maximal independent sets, one vertex per triangle; vertex 3i is least
+    first = mask_of(range(0, 30, 3))
+    assert max_large_quasi_kernel(triangles) == SolveResult(first, 20, True)
+    assert max_sharp_quasi_kernel(triangles) == SolveResult(first, 30, True)
+    big = Digraph(33, tuple([0] * 33))
+    for solver, _ in MAX_QK:
+        with pytest.raises(BudgetExceededError, match="n <= 32"):
+            solver(big)
 
 
 @given(n5_codes)
@@ -306,13 +382,7 @@ def test_heavy_set_absent_at_n6():
     with pytest.raises(PostconditionViolationError, match="potential counterexample"):
         heavy_independent_set(d)
     adj = oracles.adj_of(d)
-    vertices = set(range(d.n))
-    maximal = []
-    for size in range(d.n + 1):
-        for s in map(set, itertools.combinations(range(d.n), size)):
-            if oracles.oracle_is_independent(d, s) and not any(
-                    oracles.oracle_is_independent(d, s | {v}) for v in vertices - s):
-                maximal.append(s)
+    maximal = oracles.oracle_maximal_independent_sets(d)
     assert maximal == [{0, 1}, {1, 2}, {3, 4, 5}]
     for s in maximal:
         n_plus = {w for v in s for w in adj[v]} - s
