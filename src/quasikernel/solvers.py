@@ -13,10 +13,16 @@ return the first hit.  The maximum quasi-kernel searches (large, sharp) only
 score maximal independent sets, listed by Bron--Kerbosch with Tomita pivoting,
 because every optimum is one; ties go to the least mask, so the witness is
 still the first optimum in ascending mask order.
-Subset-indexed predicate tables (independent / acyclic / has-kernel /
-kernel-perfect) cost O(2^n) to O(3^n) and back the partition-number searches:
-the minimum number of parts is found by trying k = 1, 2, ... and walking
-restricted-growth strings, pruning on the (downward closed) part predicate.
+The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
+adding the vertices in ascending order.  They test only the parts the walk
+builds, one vertex at a time: a predicate says whether a valid part plus the
+next vertex is still valid, and pruning is sound because every part kind is
+hereditary.  Independence is one mask test and acyclicity one reachability
+search.  Kernel-perfectness accepts a sink or a source at once, accepts when
+no odd closed walk runs through the new vertex (Richardson's theorem), and
+otherwise checks the subsets of its strong component that contain it.  The
+returned parts are re-checked to cover the vertex set without overlap, and
+acyclic and independent parts to be of their kind.
 
 ``kernel_perfect_number`` is the least k with a partition into kernel-perfect
 parts; it is bounded above by the dichromatic number (acyclic parts) which is
@@ -30,14 +36,15 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     Partition,
+    check_partition,
     check_set,
     induced,
+    is_acyclic_set,
     is_independent,
     n_minus_closed,
     n_minus_minus_closed,
     n_minus_set,
     n_plus_set,
-    odd_dicycle_free,
 )
 from .exceptions import BudgetExceededError, PostconditionViolationError
 
@@ -305,9 +312,14 @@ def quasi_kernels(d: Digraph):
 # subset predicate tables
 
 
+def _underlying_rows(d: Digraph) -> list[int]:
+    """Neighbours of each vertex in the underlying undirected graph."""
+    return [d.rows[v] | d.in_rows[v] for v in range(d.n)]
+
+
 def _independence_table(d: Digraph) -> bytearray:
     n = d.n
-    und = [d.rows[v] | d.in_rows[v] for v in range(n)]
+    und = _underlying_rows(d)
     table = bytearray(1 << n)
     table[0] = 1
     for mask in range(1, 1 << n):
@@ -317,101 +329,200 @@ def _independence_table(d: Digraph) -> bytearray:
     return table
 
 
-def _acyclic_table(d: Digraph) -> bytearray:
-    n = d.n
+# ---------------------------------------------------------------------------
+# growing parts one vertex at a time
+#
+# Each ``_*_extends(d)`` returns a predicate ok(part, v) for the partition
+# searches: given that ``part`` is already a valid part and v is above all of
+# its vertices, is ``part | 1 << v`` valid too?  The three kinds of part
+# (independent, acyclic, kernel-perfect) are hereditary, so a set is valid
+# iff adding its vertices in ascending order is accepted at every step.
+
+
+def _independent_extends(d: Digraph):
+    und = _underlying_rows(d)
+    return lambda part, v: not und[v] & part
+
+
+def _acyclic_extends(d: Digraph):
+    """An acyclic part plus v has a cycle iff v reaches one of its own
+    in-neighbours inside the part."""
     rows = d.rows
-    table = bytearray(1 << n)
-    table[0] = 1
-    for mask in range(1, 1 << n):
-        probe = mask
-        while probe:
-            low = probe & -probe
-            if rows[low.bit_length() - 1] & mask == 0:
-                table[mask] = table[mask ^ low]
-                break
-            probe ^= low
-        # no vertex without out-arcs inside: a cycle lives here, leave 0
-    return table
-
-
-def _has_kernel_table(d: Digraph) -> bytearray:
-    """table[t] == 1 iff the subdigraph induced by t has a kernel.
-
-    T has a kernel iff some independent K satisfies K <= T <= K union
-    N^-(K), so each independent K marks an interval of the subset lattice;
-    marking all intervals costs at most 3^n.
-    """
-    n = d.n
     in_rows = d.in_rows
-    indep = _independence_table(d)
-    table = bytearray(1 << n)
-    for k_mask in range(1 << n):
-        if not indep[k_mask]:
-            continue
-        dominated = 0
-        probe = k_mask
-        while probe:
-            low = probe & -probe
-            dominated |= in_rows[low.bit_length() - 1]
-            probe ^= low
-        free = dominated & ~k_mask
-        sub = free
-        while True:
-            table[k_mask | sub] = 1
-            if not sub:
-                break
-            sub = (sub - 1) & free
-    return table
+
+    def ok(part: int, v: int) -> bool:
+        back = in_rows[v] & part
+        frontier = seen = rows[v] & part if back else 0
+        while frontier:
+            if frontier & back:
+                return False
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & part & ~seen
+            seen |= frontier
+        return True
+
+    return ok
 
 
-def _kernel_perfect_table(d: Digraph) -> bytearray:
-    """table[s] == 1 iff every subset of s induces a subdigraph with a kernel."""
-    n = d.n
-    hk = _has_kernel_table(d)
-    table = bytearray(1 << n)
-    table[0] = 1
-    for mask in range(1, 1 << n):
-        if not hk[mask]:
-            continue
-        probe = mask
-        ok = 1
-        while probe:
-            low = probe & -probe
-            if not table[mask ^ low]:
-                ok = 0
-                break
-            probe ^= low
-        table[mask] = ok
-    return table
+def _odd_strong_component(rows, in_rows, s: int, v: int) -> int:
+    """The strong component of v inside S if an odd closed walk through v
+    stays inside S, else 0.
+
+    Such a walk exists iff the component has an odd dicycle: a closed walk
+    through v never leaves the component, and from v one can walk to an odd
+    dicycle, around it or not, and back.
+    """
+    bit = 1 << v
+    even = front_even = bit  # vertices reached from v by walks of even length
+    odd = front_odd = 0
+    while front_even or front_odd:
+        to_odd = to_even = 0
+        while front_even:
+            low = front_even & -front_even
+            to_odd |= rows[low.bit_length() - 1]
+            front_even ^= low
+        while front_odd:
+            low = front_odd & -front_odd
+            to_even |= rows[low.bit_length() - 1]
+            front_odd ^= low
+        front_odd = to_odd & s & ~odd
+        front_even = to_even & s & ~even
+        odd |= front_odd
+        even |= front_even
+    if not odd & bit:
+        return 0
+    ahead = even | odd
+    back = front = bit  # the vertices reached from v that reach v back
+    while front:
+        step = 0
+        while front:
+            low = front & -front
+            step |= in_rows[low.bit_length() - 1]
+            front ^= low
+        front = step & ahead & ~back
+        back |= front
+    return back
+
+
+def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
+    """Whether every subset of S that contains v induces a subdigraph with a
+    kernel.
+
+    A set T has a kernel iff some independent K satisfies K <= T <= K +
+    N^-(K), so each independent K inside S marks an interval of subsets.
+    Only the sets that contain v are marked, so only a K holding v or an
+    out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
+    The marks are indexed by mask, so the table has S + 1 entries: callers
+    keep the labels small (the partition searches have n <= PARTITION_BUDGET
+    and ``is_kernel_perfect`` relabels S to 0..|S|-1).
+    """
+    bit = 1 << v
+    hits = rows[v] & s | bit
+    marked = bytearray(s + 1)
+    stack = [(0, s, 0)]  # (independent K, vertices that may still join K, N^-(K))
+    while stack:
+        k, rest, dominated = stack.pop()
+        free = dominated & s & ~k
+        if k & bit or free & bit:
+            base = k | bit
+            free &= ~bit
+            sub = free
+            while True:
+                marked[base | sub] = 1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            grow = rest & ~und[u]
+            if (k | low | grow) & hits:
+                stack.append((k | low, grow, dominated | in_rows[u]))
+    return marked.count(1) == 1 << (s.bit_count() - 1)
+
+
+def _kernel_perfect_extends(d: Digraph):
+    """Kernel-perfect parts, tried by three rules in order.
+
+    1. v is a sink or a source of ``part | v``: accept.  Let T be any subset
+       of ``part``.  If v is a sink, a kernel of T - N^-(v) plus v is a
+       kernel of T + v: nothing in it has an arc to v, v has no arc at all
+       into T, and N^-(v) has an arc into v.  If v is a source, take a
+       kernel K of T; it is one of T + v if v has an arc into K, and else
+       K + v is one, since no arc joins v and K.
+    2. No odd closed walk through v stays inside ``part | v``: accept.
+       Take a least T + v without a kernel; it contains v, since ``part``
+       is kernel-perfect, and all its proper subsets have kernels.  Were it
+       not strongly connected, it would have a proper strong component X
+       with no arc leaving X, and a kernel K_X of X and a kernel K' of the
+       rest minus N^-(K_X) would make K_X + K' a kernel of the whole: no
+       arc runs from K_X to K' or from K' into K_X, and every other vertex
+       has an arc into one of them.  So T + v is strongly connected, lies
+       inside the strong component C of v, and has an odd dicycle by
+       Richardson's theorem (1953); then C has one too, and an odd closed
+       walk runs through v.  This holds whether or not ``part`` itself has
+       an odd dicycle.
+    3. Otherwise ``part | v`` is kernel-perfect iff C is, by the argument of
+       rule 2, and ``_kernel_perfect_through`` decides that.  Its verdicts
+       are memoised for the predicate's lifetime.
+    """
+    rows = d.rows
+    in_rows = d.in_rows
+    und = _underlying_rows(d)
+    verdicts: dict[int, bool] = {}
+
+    def ok(part: int, v: int) -> bool:
+        if not rows[v] & part or not in_rows[v] & part:
+            return True
+        strong = _odd_strong_component(rows, in_rows, part | 1 << v, v)
+        if not strong:
+            return True
+        verdict = verdicts.get(strong)
+        if verdict is None:
+            verdict = verdicts[strong] = _kernel_perfect_through(rows, in_rows, und, strong, v)
+        return verdict
+
+    return ok
 
 
 def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
-    Odd-dicycle-free induced subdigraphs are kernel-perfect (every induced
-    subdigraph keeps the property and has a kernel), which settles most
-    queries without touching the 2^|S| table.
+    Kernel-perfectness is hereditary, so S is kernel-perfect iff adding its
+    vertices one at a time through the partition searches' predicate is
+    accepted at every step.  S is relabelled to 0..|S|-1 first, so the
+    predicate's masks stay below 2^|S| whatever the labels of S.
     """
     check_set(d, s)
     if s.bit_count() > KERNEL_PERFECT_BUDGET:
         raise BudgetExceededError(f"kernel-perfect check budget is |S| <= {KERNEL_PERFECT_BUDGET}")
     sub, _ = induced(d, s)
-    if odd_dicycle_free(sub):
-        return True
-    return all(_has_kernel_table(sub))
+    ok = _kernel_perfect_extends(sub)
+    part = 0
+    for v in range(sub.n):
+        if not ok(part, v):
+            return False
+        part |= 1 << v
+    return True
 
 
 # ---------------------------------------------------------------------------
 # partition numbers
 
 
-def _min_partition_rgs(n: int, ok: bytearray) -> tuple[int, tuple[int, ...]]:
-    """Least k admitting a partition into parts with ok[part]; first witness
-    in restricted-growth-string order.
+def _min_partition_rgs(n: int, ok) -> tuple[int, tuple[int, ...]]:
+    """Least k admitting a partition into valid parts; first witness in
+    restricted-growth-string order.
 
-    Requires ok on all singletons (true for the three part kinds used here),
-    so k = n always succeeds.  The predicate must be downward closed, which
-    justifies pruning as soon as a growing part fails it.
+    ``ok(part, v)`` says whether a valid part plus the vertex v above all of
+    its vertices is still valid.  Singletons must be valid (true for the
+    three part kinds used here), so k = n always succeeds.  Validity must be
+    hereditary, which justifies pruning as soon as a growing part fails.
     """
     if n == 0:
         return 0, ()
@@ -422,7 +533,7 @@ def _min_partition_rgs(n: int, ok: bytearray) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("partition search fell through; singletons must satisfy the predicate")
 
 
-def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok: bytearray) -> bool:
+def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok) -> bool:
     if v == n:
         return used == k
     bit = 1 << v
@@ -431,38 +542,51 @@ def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok: bytearr
         used_after = used + 1 if j == used else used
         if k - used_after > n - v - 1:
             continue
-        cand = parts[j] | bit
-        if ok[cand]:
-            parts[j] = cand
+        if ok(parts[j], v):
+            parts[j] |= bit
             if _rgs_assign(v + 1, used_after, n, k, parts, ok):
                 return True
             parts[j] &= ~bit
     return False
 
 
-def _partition_number(d: Digraph, table) -> tuple[int, tuple[int, ...]]:
-    """Least number of parts whose masks ``table(d)`` accepts, with the
-    first certifying parts in restricted-growth order."""
+def _partition_number(d: Digraph, kind: str, extends, part_ok) -> tuple[int, Partition]:
+    """Least number of parts of ``kind`` covering the vertex set, with the
+    first certifying partition in restricted-growth order.
+
+    ``extends(d)`` is the search's predicate.  The parts are re-checked
+    before they are returned: that they partition the vertex set and, when
+    ``part_ok`` is given, that ``part_ok(d, part)`` holds for each one.
+    Kernel-perfect parts are not re-checked one by one; that check is as
+    exponential as the search.
+    """
     if d.n > PARTITION_BUDGET:
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
-    return _min_partition_rgs(d.n, table(d))
+    k, parts = _min_partition_rgs(d.n, extends(d))
+    partition = Partition(parts, kind)
+    try:
+        check_partition(d, partition)
+    except ValueError as e:
+        raise PostconditionViolationError(f"{kind} partition search returned a bad partition: {e}") from e
+    if part_ok is not None and not all(part_ok(d, part) for part in parts):
+        raise PostconditionViolationError(f"{kind} partition search returned a part that is not {kind}")
+    return k, partition
 
 
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     """Least number of kernel-perfect parts covering the vertex set, with the
     first certifying partition in restricted-growth order."""
-    k, parts = _partition_number(d, _kernel_perfect_table)
-    return k, Partition(parts, "kernel-perfect")
+    return _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None)
 
 
 def chromatic_number(d: Digraph) -> int:
     """Chromatic number of the underlying undirected graph."""
-    return _partition_number(d, _independence_table)[0]
+    return _partition_number(d, "independent", _independent_extends, is_independent)[0]
 
 
 def dichromatic_number(d: Digraph) -> int:
     """Least number of acyclic parts covering the vertex set."""
-    return _partition_number(d, _acyclic_table)[0]
+    return _partition_number(d, "acyclic", _acyclic_extends, is_acyclic_set)[0]
 
 
 # ---------------------------------------------------------------------------

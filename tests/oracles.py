@@ -166,20 +166,20 @@ def oracle_dichromatic(d):
 
 def oracle_is_kernel_perfect(d, s):
     """Every subset of s spans a digraph with a kernel (checked directly)."""
+    adj = adj_of(d)
     members = sorted(s)
     for size in range(len(members) + 1):
         for sub in itertools.combinations(members, size):
             live = set(sub)
             found = False
-            for cand in subsets_by_size(d.n):
-                cset = set(cand)
-                if not cset <= live:
-                    continue
-                if not oracle_is_independent(d, cset):
-                    continue
-                adj = adj_of(d)
-                if all(v in cset or (adj[v] & cset) for v in live):
-                    found = True
+            for k_size in range(size + 1):
+                for cand in itertools.combinations(sub, k_size):
+                    cset = set(cand)
+                    if all(not (adj[u] & cset) for u in cset) and all(
+                            v in cset or (adj[v] & cset) for v in live):
+                        found = True
+                        break
+                if found:
                     break
             if not found:
                 return False
@@ -197,3 +197,34 @@ def oracle_kp_number(d):
             if all(oracle_is_kernel_perfect(d, p) for p in parts):
                 return k
     raise AssertionError("single vertices are kernel-perfect")
+
+
+def _growth_strings(n, k):
+    """Restricted growth strings of length n >= 1 with exactly k blocks, in
+    lexicographic order: s[0] = 0 and s[i] <= 1 + max(s[:i])."""
+    def extend(prefix, blocks):
+        if len(prefix) == n:
+            if blocks == k:
+                yield tuple(prefix)
+            return
+        for c in range(min(blocks + 1, k)):
+            yield from extend(prefix + [c], max(blocks, c + 1))
+    yield from extend([0], 1)
+
+
+def oracle_first_partition(d, part_ok):
+    """Least k such that some restricted growth string with k blocks puts
+    every block through part_ok(d, block), and the first such string's
+    blocks as frozensets in block order.  Singletons must pass."""
+    if d.n == 0:
+        return 0, ()
+    verdicts = {}
+    for k in range(1, d.n + 1):
+        for labels in _growth_strings(d.n, k):
+            blocks = tuple(frozenset(v for v in range(d.n) if labels[v] == c) for c in range(k))
+            for b in blocks:
+                if b not in verdicts:
+                    verdicts[b] = part_ok(d, set(b))
+            if all(verdicts[b] for b in blocks):
+                return k, blocks
+    raise AssertionError("singletons must pass part_ok")

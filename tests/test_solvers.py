@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from quasikernel import (
     BudgetExceededError,
     Digraph,
+    Partition,
     PostconditionViolationError,
     chromatic_number,
     dichromatic_number,
@@ -30,17 +31,29 @@ from quasikernel import (
     sharp_score,
     vertices_of,
 )
-from quasikernel.digraph import digraph_from_code, enumerate_digraphs
+from quasikernel import solvers
+from quasikernel.digraph import (
+    digraph_from_code,
+    enumerate_digraphs,
+    induced,
+    is_acyclic_set,
+    is_independent,
+)
+from quasikernel.generators import make, parse_family
 from quasikernel.solvers import (
     SolveResult,
-    _has_kernel_table,
+    _acyclic_extends,
+    _independent_extends,
+    _kernel_perfect_extends,
+    _kernel_perfect_through,
     _masks_by_size,
     _maximal_independent_sets,
+    _partition_number,
     check_set,
 )
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set
+from conftest import all_digraphs, dg, mask_to_set, set_to_mask
 
 
 n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
@@ -270,24 +283,47 @@ def test_quasi_kernels_budget():
 # kernel-perfect sets and partition numbers
 
 
+@st.composite
+def digraphs(draw, lo, hi):
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    return digraph_from_code(n, draw(st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
+
+
 def test_is_kernel_perfect_matches_oracle():
     for d in all_digraphs(3):
         for s in range(8):
             assert is_kernel_perfect(d, s) == oracles.oracle_is_kernel_perfect(d, mask_to_set(s))
 
 
-def test_has_kernel_table_matches_search():
+@given(digraphs(5, 6))
+@settings(max_examples=30, deadline=None)
+def test_is_kernel_perfect_matches_oracle_on_every_subset(d):
+    for s in range(1 << d.n):
+        assert is_kernel_perfect(d, s) == oracles.oracle_is_kernel_perfect(d, mask_to_set(s))
+
+
+def test_kernel_perfect_through_matches_search():
     for d in all_digraphs(3):
-        table = _has_kernel_table(d)
-        for s in range(8):
-            from quasikernel.digraph import induced
-            sub, _ = induced(d, s)
-            assert bool(table[s]) == (find_kernel(sub).witness is not None)
+        und = [d.rows[v] | d.in_rows[v] for v in range(d.n)]
+        has_kernel = [find_kernel(induced(d, t)[0]).witness is not None for t in range(8)]
+        for s in range(1, 8):
+            for v in vertices_of(s):
+                want = all(has_kernel[t] for t in range(8) if t & ~s == 0 and t >> v & 1)
+                assert _kernel_perfect_through(d.rows, d.in_rows, und, s, v) == want
 
 
 def test_odd_free_digraphs_are_kernel_perfect(c4):
     assert odd_dicycle_free(c4)
     assert is_kernel_perfect(c4, c4.vertex_mask)
+
+
+def test_is_kernel_perfect_on_high_labels():
+    # a directed triangle on the last three of 40 vertices: the check must
+    # work on |S| vertices, not on masks as large as 2^39
+    triangle = [(37, 38), (38, 39), (39, 37)]
+    s = mask_of([37, 38, 39])
+    assert not is_kernel_perfect(dg(40, triangle), s)
+    assert is_kernel_perfect(dg(40, triangle + [(38, 37)]), s)
 
 
 def test_is_kernel_perfect_budget():
@@ -321,6 +357,114 @@ def test_partition_budgets():
     for fn in (kernel_perfect_number, chromatic_number, dichromatic_number):
         with pytest.raises(BudgetExceededError):
             fn(big)
+
+
+# part kind -> (oracle predicate, search predicate, re-check of each part)
+PART_SEARCHES = {
+    "kernel-perfect": (oracles.oracle_is_kernel_perfect, _kernel_perfect_extends, None),
+    "acyclic": (oracles.oracle_is_acyclic, _acyclic_extends, is_acyclic_set),
+    "independent": (oracles.oracle_is_independent, _independent_extends, is_independent),
+}
+
+
+def assert_partitions_match_oracle(d):
+    """Same k and the same first restricted-growth parts as the oracle."""
+    got = {}
+    for kind, (oracle_ok, extends, part_ok) in PART_SEARCHES.items():
+        want_k, blocks = oracles.oracle_first_partition(d, oracle_ok)
+        got[kind] = _partition_number(d, kind, extends, part_ok)
+        assert got[kind] == (want_k, Partition(tuple(set_to_mask(b) for b in blocks), kind)), kind
+    assert kernel_perfect_number(d) == got["kernel-perfect"]
+    assert dichromatic_number(d) == got["acyclic"][0]
+    assert chromatic_number(d) == got["independent"][0]
+
+
+def test_partition_numbers_match_oracle_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            assert_partitions_match_oracle(d)
+
+
+@given(digraphs(5, 8))
+@settings(max_examples=40, deadline=None)
+def test_partition_numbers_match_oracle(d):
+    assert_partitions_match_oracle(d)
+
+
+@pytest.mark.parametrize("spec", ["c3pow:2", "cycle:9", "circulant:9",
+                                  "random_tournament:9:1", "random_tournament:9:2",
+                                  # the kernel-perfect search asks about one vertex
+                                  # with two parts whose verdicts differ
+                                  "random:7:1/2:147", "random:8:1/2:10"])
+def test_partition_numbers_match_oracle_on_families(spec):
+    assert_partitions_match_oracle(make(parse_family(spec)))
+
+
+def _rule_3_forbidden(*_):
+    raise AssertionError("rule 3 was consulted")
+
+
+def _rule_2_forbidden(*_):
+    raise AssertionError("rule 2 was consulted")
+
+
+# a kernel-perfect part with an odd dicycle: 0 -> 1 -> 2 -> 0 and 1 -> 0
+KP_TRIANGLE = [(0, 1), (1, 2), (2, 0), (1, 0)]
+
+
+@pytest.mark.parametrize("rule,arcs", [
+    ("sink", [(0, 3), (1, 3)]),
+    ("source", [(3, 0), (3, 2)]),
+])
+def test_kernel_perfect_rule_1(monkeypatch, rule, arcs):
+    d = dg(4, KP_TRIANGLE + arcs)
+    assert oracles.oracle_is_kernel_perfect(d, {0, 1, 2, 3})
+    monkeypatch.setattr(solvers, "_odd_strong_component", _rule_2_forbidden)
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
+    assert _kernel_perfect_extends(d)(0b0111, 3)
+
+
+@pytest.mark.parametrize("n,arcs,part", [
+    # odd-dicycle-free part, and the only dicycle through v = 3 is 0 1 2 3
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], 0b0111),
+    # the part has an odd dicycle, but v = 4 shares only a 2-cycle with 3
+    (5, KP_TRIANGLE + [(3, 4), (4, 3), (4, 0)], 0b01111),
+])
+def test_kernel_perfect_rule_2_odd_walk(monkeypatch, n, arcs, part):
+    d = dg(n, arcs)
+    v = n - 1
+    assert d.rows[v] & part and d.in_rows[v] & part  # rule 1 does not apply
+    assert oracles.oracle_is_kernel_perfect(d, set(range(n)))
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
+    assert _kernel_perfect_extends(d)(part, v)
+
+
+@pytest.mark.parametrize("arcs,want", [
+    ([(0, 1), (1, 2), (2, 0)], False),  # closes a directed triangle
+    ([(0, 1), (1, 2), (2, 0), (2, 1)], True),  # the triangle 0 1 2 has a kernel
+    ([(0, 1), (1, 2), (2, 0), (0, 2)], True),
+])
+def test_kernel_perfect_rule_3(arcs, want):
+    d = dg(3, arcs)
+    assert oracles.oracle_is_kernel_perfect(d, {0, 1, 2}) == want
+    assert solvers._odd_strong_component(d.rows, d.in_rows, 0b111, 2) == 0b111
+    assert _kernel_perfect_extends(d)(0b011, 2) == want
+
+
+@pytest.mark.parametrize("kind", ["kernel-perfect", "acyclic", "independent"])
+def test_partition_search_rechecks_the_cover(monkeypatch, kind):
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok: (2, (0b011, 0b110)))
+    _, extends, part_ok = PART_SEARCHES[kind]
+    with pytest.raises(PostconditionViolationError, match="overlap"):
+        _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
+
+
+@pytest.mark.parametrize("kind", ["acyclic", "independent"])
+def test_partition_search_rechecks_each_part(monkeypatch, kind):
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok: (1, (0b111,)))
+    _, extends, part_ok = PART_SEARCHES[kind]
+    with pytest.raises(PostconditionViolationError, match=f"not {kind}"):
+        _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
 
 
 def test_chromatic_and_dichromatic_match_oracles():

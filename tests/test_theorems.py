@@ -23,7 +23,7 @@ from quasikernel import (
     vertices_of,
 )
 from quasikernel.digraph import digraph_from_code, enumerate_digraphs
-from quasikernel.solvers import _min_partition_rgs, _independence_table
+from quasikernel.solvers import _independent_extends, _min_partition_rgs
 
 from conftest import all_digraphs, dg
 
@@ -36,7 +36,7 @@ def independent_partition(d):
     """Partition into independent parts (independent sets are kernel-perfect)."""
     if d.n == 0:
         return Partition((), "kernel-perfect")
-    _, parts = _min_partition_rgs(d.n, _independence_table(d))
+    _, parts = _min_partition_rgs(d.n, _independent_extends(d))
     return Partition(parts, "kernel-perfect")
 
 
