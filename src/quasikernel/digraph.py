@@ -321,58 +321,43 @@ def reverse(d: Digraph) -> Digraph:
 # ---------------------------------------------------------------------------
 # odd dicycles
 
-_SPREAD: dict[int, int] = {0: 0}
-_SPREAD_CAP = 1 << 16
-
-
-def _spread(row: int) -> int:
-    """Move bit w to bit 2w, memoized (rows repeat heavily across sweeps).
-
-    The memo is emptied when full, so random rows cannot grow it without
-    bound; hits pay nothing for that.
+def _parity_reach(rows, s: int, v: int) -> tuple[int, int]:
+    """(even, odd): the vertices that walks from v inside S (v in S) reach
+    with an even and with an odd number of arcs.  v is in ``odd`` iff an odd
+    closed walk through v stays inside S, i.e. iff v can walk to an odd
+    dicycle of S and back (an odd closed walk splits into dicycles).
     """
-    try:
-        return _SPREAD[row]
-    except KeyError:
-        acc = 0
-        m = row
-        while m:
-            low = m & -m
-            acc |= 1 << (2 * (low.bit_length() - 1))
-            m ^= low
-        if len(_SPREAD) >= _SPREAD_CAP:
-            _SPREAD.clear()
-        _SPREAD[row] = acc
-        return acc
+    even = front_even = 1 << v
+    odd = front_odd = 0
+    while front_even or front_odd:
+        to_odd = to_even = 0
+        while front_even:
+            low = front_even & -front_even
+            to_odd |= rows[low.bit_length() - 1]
+            front_even ^= low
+        while front_odd:
+            low = front_odd & -front_odd
+            to_even |= rows[low.bit_length() - 1]
+            front_odd ^= low
+        front_odd = to_odd & s & ~odd
+        front_even = to_even & s & ~even
+        odd |= front_odd
+        even |= front_even
+    return even, odd
 
 
 def odd_dicycle_free(d: Digraph) -> bool:
     """True iff the digraph contains no directed cycle of odd length.
 
-    Works on the parity double cover: node ``2v+p`` is "at v having walked a
-    path of parity p"; an odd closed walk exists iff some ``2v`` reaches
-    ``2v+1``, and any odd closed walk contains an odd dicycle.
+    Looks for an odd closed walk through each vertex v inside the vertices
+    from v up: every odd dicycle is found from its least vertex.
     """
-    n = d.n
-    if n == 0:
-        return True
-    reach = [0] * (2 * n)
-    for u, row in enumerate(d.rows):
-        even = _spread(row)
-        reach[2 * u] = even << 1  # parity 0 -> parity 1
-        reach[2 * u + 1] = even  # parity 1 -> parity 0
-    m = 2 * n
-    for k in range(m):
-        rk = reach[k]
-        if not rk:
-            continue
-        bitk = 1 << k
-        for i in range(m):
-            if reach[i] & bitk:
-                reach[i] |= rk
-    for v in range(n):
-        if reach[2 * v] >> (2 * v + 1) & 1:
+    rows = d.rows
+    s = d.vertex_mask
+    for v in range(d.n):
+        if _parity_reach(rows, s, v)[1] >> v & 1:
             return False
+        s ^= 1 << v
     return True
 
 

@@ -7,12 +7,12 @@ always exist in a finite digraph, so an exhausted search is a bug, not a
 result.
 
 Everything here is exhaustive and exact, sized for a desk, and identical runs
-give identical output.  The minimum searches (kernels, minimum quasi-kernels,
-heavy independent sets) walk bit masks in (cardinality, numeric) order and
-return the first hit.  The maximum quasi-kernel searches (large, sharp) only
-score maximal independent sets, listed by Bron--Kerbosch with Tomita pivoting,
-because every optimum is one; ties go to the least mask, so the witness is
-still the first optimum in ascending mask order.
+give identical output.  The minimum quasi-kernel search walks bit masks in
+(cardinality, numeric) order and returns the first hit.  Kernels, heavy
+independent sets and maximum (large, sharp) quasi-kernels are maximal
+independent sets, so those searches keep, of the sets Bron--Kerbosch with
+Tomita pivoting lists, the one with the least key (size, or negated score),
+ties to the least mask: still the first optimum over all masks.
 The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
 adding the vertices in ascending order.  They test only the parts the walk
 builds, one vertex at a time: a predicate says whether a valid part plus the
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     Partition,
+    _parity_reach,
     check_partition,
     check_set,
     induced,
@@ -44,7 +45,6 @@ from .digraph import (
     n_minus_closed,
     n_minus_minus_closed,
     n_minus_set,
-    n_plus_set,
 )
 from .exceptions import BudgetExceededError, PostconditionViolationError
 
@@ -76,102 +76,6 @@ def _masks_by_size(n: int):
             c = m & -m
             r = m + c
             m = r | (((r ^ m) >> 2) // c)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-
-
-def is_kernel(d: Digraph, k: int) -> bool:
-    """Independent and every vertex is in K or has an arc into K."""
-    check_set(d, k)
-    return is_independent(d, k) and n_minus_closed(d, k) == d.vertex_mask
-
-
-def find_kernel(d: Digraph) -> SolveResult:
-    """Lexicographically first kernel by (size, bit order), or None.
-
-    Absence is certified by the exhausted search, so ``verified`` is True
-    either way.
-    """
-    rows = d.rows
-    in_rows = d.in_rows
-    full = d.vertex_mask
-    for mask in _masks_by_size(d.n):
-        closed = mask
-        probe = mask
-        ok = True
-        while probe:
-            low = probe & -probe
-            v = low.bit_length() - 1
-            if rows[v] & mask:
-                ok = False
-                break
-            closed |= in_rows[v]
-            probe ^= low
-        if ok and closed == full:
-            if not is_kernel(d, mask):
-                raise PostconditionViolationError("kernel search returned a non-kernel")
-            return SolveResult(mask, mask.bit_count(), True)
-    return SolveResult(None, 0, True)
-
-
-# ---------------------------------------------------------------------------
-# quasi-kernels
-
-
-def is_quasi_kernel(d: Digraph, q: int) -> bool:
-    """Independent and every vertex is within directed distance 2 to Q."""
-    check_set(d, q)
-    return is_independent(d, q) and n_minus_minus_closed(d, q) == d.vertex_mask
-
-
-def _qk_raw(rows, in_rows, full, mask) -> bool:
-    closed = mask
-    probe = mask
-    while probe:
-        low = probe & -probe
-        v = low.bit_length() - 1
-        if rows[v] & mask:
-            return False
-        closed |= in_rows[v]
-        probe ^= low
-    if closed == full:
-        return True
-    twice = closed
-    probe = closed
-    while probe:
-        low = probe & -probe
-        twice |= in_rows[low.bit_length() - 1]
-        probe ^= low
-    return twice == full
-
-
-def min_quasi_kernel(d: Digraph) -> SolveResult:
-    """Lexicographically first minimum-size quasi-kernel.
-
-    Every finite digraph has one, so exhaustion raises (a bug signal).
-    A minimum quasi-kernel is in particular inclusion-minimal.
-    """
-    rows = d.rows
-    in_rows = d.in_rows
-    full = d.vertex_mask
-    for mask in _masks_by_size(d.n):
-        if _qk_raw(rows, in_rows, full, mask):
-            if not is_quasi_kernel(d, mask):
-                raise PostconditionViolationError("quasi-kernel search returned a bad witness")
-            return SolveResult(mask, mask.bit_count(), True)
-    raise AssertionError("no quasi-kernel found; digraphs always have one")
-
-
-def large_score(d: Digraph, q: int) -> int:
-    """|n_minus_closed(D, Q)|: how much Q dominates within one step."""
-    return n_minus_closed(d, q).bit_count()
-
-
-def sharp_score(d: Digraph, q: int) -> int:
-    """Doubled sharp objective |Q| + 2*|n_minus_set(D, Q)| (kept integral)."""
-    return q.bit_count() + 2 * n_minus_set(d, q).bit_count()
 
 
 def _maximal_independent_sets(d: Digraph) -> list[int]:
@@ -225,6 +129,116 @@ def _maximal_independent_sets(d: Digraph) -> list[int]:
     return out
 
 
+def _least_maximal_independent_set(d: Digraph, key):
+    """(key, mask) of the maximal independent set with the least
+    ``key(mask)``, ties to the least mask; sets whose key is None are
+    skipped, and None is returned if all are."""
+    best = None
+    for mask in _maximal_independent_sets(d):
+        k = key(mask)
+        if k is not None and (best is None or (k, mask) < best):
+            best = k, mask
+    return best
+
+
+# ---------------------------------------------------------------------------
+# kernels
+
+
+def is_kernel(d: Digraph, k: int) -> bool:
+    """Independent and every vertex is in K or has an arc into K."""
+    check_set(d, k)
+    return is_independent(d, k) and n_minus_closed(d, k) == d.vertex_mask
+
+
+def find_kernel(d: Digraph) -> SolveResult:
+    """Lexicographically first kernel by (size, bit order), or None.
+
+    Only maximal independent sets are tried: every vertex outside a kernel
+    has an arc into it, so no vertex can join it and stay independent.
+    Absence is certified by the exhausted search, so ``verified`` is True
+    either way.
+    """
+    in_rows = d.in_rows
+    full = d.vertex_mask
+
+    def size_if_absorbing(mask: int) -> int | None:
+        closed = probe = mask
+        while probe:
+            low = probe & -probe
+            closed |= in_rows[low.bit_length() - 1]
+            probe ^= low
+        return mask.bit_count() if closed == full else None
+
+    best = _least_maximal_independent_set(d, size_if_absorbing)
+    if best is None:
+        return SolveResult(None, 0, True)
+    size, mask = best
+    if not is_kernel(d, mask):
+        raise PostconditionViolationError("kernel search returned a non-kernel")
+    return SolveResult(mask, size, True)
+
+
+# ---------------------------------------------------------------------------
+# quasi-kernels
+
+
+def is_quasi_kernel(d: Digraph, q: int) -> bool:
+    """Independent and every vertex is within directed distance 2 to Q."""
+    check_set(d, q)
+    return is_independent(d, q) and n_minus_minus_closed(d, q) == d.vertex_mask
+
+
+def _qk_raw(rows, in_rows, full, mask) -> bool:
+    closed = mask
+    probe = mask
+    while probe:
+        low = probe & -probe
+        v = low.bit_length() - 1
+        if rows[v] & mask:
+            return False
+        closed |= in_rows[v]
+        probe ^= low
+    if closed == full:
+        return True
+    twice = closed
+    probe = closed
+    while probe:
+        low = probe & -probe
+        twice |= in_rows[low.bit_length() - 1]
+        probe ^= low
+    return twice == full
+
+
+def min_quasi_kernel(d: Digraph) -> SolveResult:
+    """Lexicographically first minimum-size quasi-kernel.
+
+    Every finite digraph has one, so exhaustion raises (a bug signal).
+    A minimum quasi-kernel is in particular inclusion-minimal.
+    """
+    if d.n > ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"minimum quasi-kernel search budget is n <= {ENUMERATION_BUDGET}")
+    rows = d.rows
+    in_rows = d.in_rows
+    full = d.vertex_mask
+    for mask in _masks_by_size(d.n):
+        if _qk_raw(rows, in_rows, full, mask):
+            if not is_quasi_kernel(d, mask):
+                raise PostconditionViolationError("quasi-kernel search returned a bad witness")
+            return SolveResult(mask, mask.bit_count(), True)
+    raise AssertionError("no quasi-kernel found; digraphs always have one")
+
+
+def large_score(d: Digraph, q: int) -> int:
+    """|n_minus_closed(D, Q)|: how much Q dominates within one step."""
+    return n_minus_closed(d, q).bit_count()
+
+
+def sharp_score(d: Digraph, q: int) -> int:
+    """Doubled sharp objective |Q| + 2*|n_minus_set(D, Q)| (kept integral)."""
+    return q.bit_count() + 2 * n_minus_set(d, q).bit_count()
+
+
 def _max_quasi_kernel(d: Digraph, score) -> SolveResult:
     """Quasi-kernel maximizing ``score(d, Q)``; first optimum in ascending
     mask order.
@@ -240,18 +254,14 @@ def _max_quasi_kernel(d: Digraph, score) -> SolveResult:
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
-    best = None
-    best_obj = -1
-    for mask in _maximal_independent_sets(d):
-        if _qk_raw(rows, in_rows, full, mask):
-            obj = score(d, mask)
-            if obj > best_obj or obj == best_obj and mask < best:
-                best, best_obj = mask, obj
+    best = _least_maximal_independent_set(
+        d, lambda mask: -score(d, mask) if _qk_raw(rows, in_rows, full, mask) else None)
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")
-    if not is_quasi_kernel(d, best):
+    neg_obj, mask = best
+    if not is_quasi_kernel(d, mask):
         raise PostconditionViolationError("quasi-kernel search returned a bad witness")
-    return SolveResult(best, best_obj, True)
+    return SolveResult(mask, -neg_obj, True)
 
 
 def max_large_quasi_kernel(d: Digraph) -> SolveResult:
@@ -302,31 +312,9 @@ def quasi_kernels(d: Digraph):
     rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
-    indep = _independence_table(d)
     for mask in range(full + 1):
-        if indep[mask] and _qk_raw(rows, in_rows, full, mask):
+        if _qk_raw(rows, in_rows, full, mask):
             yield mask
-
-
-# ---------------------------------------------------------------------------
-# subset predicate tables
-
-
-def _underlying_rows(d: Digraph) -> list[int]:
-    """Neighbours of each vertex in the underlying undirected graph."""
-    return [d.rows[v] | d.in_rows[v] for v in range(d.n)]
-
-
-def _independence_table(d: Digraph) -> bytearray:
-    n = d.n
-    und = _underlying_rows(d)
-    table = bytearray(1 << n)
-    table[0] = 1
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        table[mask] = 1 if table[rest] and not (und[low.bit_length() - 1] & rest) else 0
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +325,11 @@ def _independence_table(d: Digraph) -> bytearray:
 # its vertices, is ``part | 1 << v`` valid too?  The three kinds of part
 # (independent, acyclic, kernel-perfect) are hereditary, so a set is valid
 # iff adding its vertices in ascending order is accepted at every step.
+
+
+def _underlying_rows(d: Digraph) -> list[int]:
+    """Neighbours of each vertex in the underlying undirected graph."""
+    return [d.rows[v] | d.in_rows[v] for v in range(d.n)]
 
 
 def _independent_extends(d: Digraph):
@@ -377,22 +370,7 @@ def _odd_strong_component(rows, in_rows, s: int, v: int) -> int:
     dicycle, around it or not, and back.
     """
     bit = 1 << v
-    even = front_even = bit  # vertices reached from v by walks of even length
-    odd = front_odd = 0
-    while front_even or front_odd:
-        to_odd = to_even = 0
-        while front_even:
-            low = front_even & -front_even
-            to_odd |= rows[low.bit_length() - 1]
-            front_even ^= low
-        while front_odd:
-            low = front_odd & -front_odd
-            to_even |= rows[low.bit_length() - 1]
-            front_odd ^= low
-        front_odd = to_odd & s & ~odd
-        front_even = to_even & s & ~even
-        odd |= front_odd
-        even |= front_even
+    even, odd = _parity_reach(rows, s, v)
     if not odd & bit:
         return 0
     ahead = even | odd
@@ -596,12 +574,11 @@ def dichromatic_number(d: Digraph) -> int:
 def heavy_independent_set(d: Digraph) -> int:
     """Maximal independent set with at least as many in- as out-neighbours.
 
-    Exhaustive: returns the first mask in (cardinality, numeric) order that
-    is independent, maximal (its closed undirected neighbourhood is the whole
-    vertex set), and satisfies |n_minus_set| >= |n_plus_set|.  Greedy rules
-    that pick one in-heavy vertex at a time and delete its neighbourhood do
-    not work; the digraph 1->0, 0->2, 3->1 defeats the natural one, because
-    a later pick can feed arcs to vertices deleted earlier.
+    Exhaustive: returns the first maximal independent set in (cardinality,
+    numeric) order with |n_minus_set| >= |n_plus_set|.  Greedy rules that
+    pick one in-heavy vertex at a time and delete its neighbourhood do not
+    work; the digraph 1->0, 0->2, 3->1 defeats the natural one, because a
+    later pick can feed arcs to vertices deleted earlier.
 
     Exhaustion raises PostconditionViolationError ("potential
     counterexample").  Every digraph on at most 5 vertices has such a set,
@@ -609,28 +586,25 @@ def heavy_independent_set(d: Digraph) -> int:
     4->0, 4->1, 4->2, 5->2 has the maximal independent sets {0, 1}, {1, 2}
     and {3, 4, 5}, and none of them is in-heavy.
     """
-    if d.n > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"heavy independent set search budget is n <= {ENUMERATION_BUDGET}")
     rows = d.rows
     in_rows = d.in_rows
-    full = d.vertex_mask
-    for mask in _masks_by_size(d.n):
+
+    def size_if_in_heavy(mask: int) -> int | None:
+        ins = outs = 0  # an independent set meets neither neighbourhood
         probe = mask
-        closed_und = mask
-        independent = True
         while probe:
             low = probe & -probe
             v = low.bit_length() - 1
-            if rows[v] & mask:
-                independent = False
-                break
-            closed_und |= rows[v] | in_rows[v]
+            ins |= in_rows[v]
+            outs |= rows[v]
             probe ^= low
-        if not independent or closed_und != full:
-            continue
-        if n_minus_set(d, mask).bit_count() >= n_plus_set(d, mask).bit_count():
-            if not is_independent(d, mask):
-                raise PostconditionViolationError("heavy search returned a dependent set")
-            return mask
-    raise PostconditionViolationError(
-        "no in-heavy maximal independent set exists here; potential counterexample")
+        return mask.bit_count() if ins.bit_count() >= outs.bit_count() else None
+
+    best = _least_maximal_independent_set(d, size_if_in_heavy)
+    if best is None:
+        raise PostconditionViolationError(
+            "no in-heavy maximal independent set exists here; potential counterexample")
+    mask = best[1]
+    if not is_independent(d, mask):
+        raise PostconditionViolationError("heavy search returned a dependent set")
+    return mask

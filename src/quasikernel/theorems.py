@@ -264,6 +264,10 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
     its sources instead.  C is large enough that the counting argument
     closes by integrality, and the result transfers to the unpruned digraph
     after dropping sources whose restored arcs land in the witness.
+
+    The blowup has (k*t + 1)*s + t vertices (k >= 2 after padding); the
+    kernel search on its grown part, nearly all of it, raises
+    BudgetExceededError at once past ``MIS_BUDGET = 32`` (n = 8, s = 3: 38).
     """
     parts = _checked_parts(d, partition, check_parts)
     k = len(parts)

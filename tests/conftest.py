@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from quasikernel import Digraph, enumerate_digraphs, make, parse_family
+from quasikernel import Digraph, enumerate_digraphs, make, parse_family, random_digraph
 
 
 def dg(n, arcs):
@@ -32,6 +34,17 @@ def set_to_mask(s):
 @functools.lru_cache(maxsize=None)
 def all_digraphs(n, sink_free=False):
     return tuple(enumerate_digraphs(n, sink_free=sink_free))
+
+
+@st.composite
+def seeded_digraphs(draw, lo, hi):
+    """Seeded random digraphs on lo..hi vertices with arc probability 1/8,
+    1/4 or 1/2, so that sparse digraphs (large kernels, no odd dicycle) and
+    dense ones (no kernel) are both drawn; raw codes drawn by hypothesis
+    lean to sparse digraphs."""
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    p = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+    return random_digraph(n, p, draw(st.integers(min_value=0, max_value=(1 << 64) - 1)))
 
 
 @pytest.fixture

@@ -62,6 +62,25 @@ def oracle_kernels(d):
     return [frozenset(s) for s in subsets_by_size(d.n) if oracle_is_kernel(d, s)]
 
 
+def _first_by_size_then_mask(sets):
+    """The least set by (size, sum of 2^v), or None for no sets."""
+    return min(sets, key=lambda s: (len(s), sum(1 << v for v in s)), default=None)
+
+
+def oracle_first_kernel(d):
+    """First kernel in (size, mask) order as a frozenset, or None."""
+    return _first_by_size_then_mask(oracle_kernels(d))
+
+
+def oracle_first_heavy(d):
+    """First maximal independent set in (size, mask) order with at least as
+    many in- as out-neighbours, as a frozenset, or None."""
+    adj = adj_of(d)
+    heavy = [s for s in oracle_maximal_independent_sets(d)
+             if len(oracle_n_minus(d, s)) >= len({w for v in s for w in adj[v]} - s)]
+    return _first_by_size_then_mask(heavy)
+
+
 def oracle_min_qk(d):
     """Smallest quasi-kernel as a frozenset, first in combinations order."""
     for s in subsets_by_size(d.n):

@@ -467,6 +467,14 @@ def test_malformed_input(capsys, tmp_path):
     assert code == 1 and err.startswith("qk: error:")
 
 
+def test_solve_min_over_budget(capsys, tmp_path):
+    path = tmp_path / "edgeless21.dg"
+    path.write_text(serialize(make(parse_family("edgeless:21"))))
+    code, out, err = run(capsys, ["solve", "--alg", "min", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "qk: error: minimum quasi-kernel search budget is n <= 20\n"
+
+
 def test_no_command_is_usage_error(capsys):
     code, _, err = run(capsys, [])
     assert code == 1 and err.startswith("qk: error:")

@@ -1,8 +1,7 @@
 import itertools
-import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasikernel import (
     Digraph,
@@ -33,7 +32,6 @@ from quasikernel import (
     sources_not_sinks,
     vertices_of,
 )
-from quasikernel import digraph
 from quasikernel.digraph import (
     compress_set,
     disjoint_union,
@@ -43,7 +41,7 @@ from quasikernel.digraph import (
 )
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set, set_to_mask
+from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
 
 
 def codes(n):
@@ -233,14 +231,10 @@ def test_two_cycle_is_even():
     assert odd_dicycle_free(dg(2, [(0, 1), (1, 0)]))
 
 
-def test_spread_memo_stays_bounded():
-    rnd = random.Random(3)
-    for _ in range(2 * digraph._SPREAD_CAP + 100):
-        row = rnd.getrandbits(24)
-        got = digraph._spread(row)
-        assert len(digraph._SPREAD) <= digraph._SPREAD_CAP
-    assert got == sum(1 << 2 * w for w in range(24) if row >> w & 1)
-    assert not odd_dicycle_free(dg(3, [(0, 1), (1, 2), (2, 0)]))
+@given(seeded_digraphs(6, 8))
+@settings(max_examples=40, deadline=None)
+def test_odd_dicycle_free_matches_oracle_n6_to_n8(d):
+    assert odd_dicycle_free(d) == (not oracles.oracle_has_odd_dicycle(d))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from quasikernel.solvers import (
 )
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set, set_to_mask
+from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
 
 
 n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
@@ -101,6 +101,37 @@ def test_find_kernel_matches_oracle(code):
         assert res.objective == min(len(k) for k in kernels)
 
 
+def _first_kernel_and_heavy_match_oracles(d):
+    want = oracles.oracle_first_kernel(d)
+    res = find_kernel(d)
+    assert res.witness == (None if want is None else set_to_mask(want))
+    assert res.objective == (0 if want is None else len(want))
+    want = oracles.oracle_first_heavy(d)
+    if want is None:
+        with pytest.raises(PostconditionViolationError, match="potential counterexample"):
+            heavy_independent_set(d)
+    else:
+        assert heavy_independent_set(d) == set_to_mask(want)
+
+
+def test_first_kernel_and_heavy_match_oracles_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            _first_kernel_and_heavy_match_oracles(d)
+
+
+@given(seeded_digraphs(6, 9))
+@settings(max_examples=40, deadline=None)
+def test_first_kernel_and_heavy_match_oracles_n6_to_n9(d):
+    _first_kernel_and_heavy_match_oracles(d)
+
+
+def test_find_kernel_budget():
+    assert find_kernel(Digraph(32, tuple([0] * 32))) == SolveResult((1 << 32) - 1, 32, True)
+    with pytest.raises(BudgetExceededError, match="n <= 32"):
+        find_kernel(Digraph(33, tuple([0] * 33)))
+
+
 def test_every_tournament_without_kernel_has_one_loser():
     # in a tournament a kernel is a single vertex beating everyone, i.e. an
     # in-dominating vertex; check the equivalence on all 3-vertex tournaments
@@ -134,6 +165,14 @@ def test_min_quasi_kernel_is_first_by_size_then_mask(c4):
     d = dg(3, [(0, 1), (2, 1)])
     # {1} dominates 0 and 2 in one step; vertex 1 is the smallest such mask
     assert min_quasi_kernel(d).witness == mask_of([1])
+
+
+def test_min_quasi_kernel_budget():
+    # every other vertex has an arc into vertex 0, so {0} is found at once
+    star = dg(20, [(v, 0) for v in range(1, 20)])
+    assert min_quasi_kernel(star) == SolveResult(1, 1, True)
+    with pytest.raises(BudgetExceededError, match="n <= 20"):
+        min_quasi_kernel(dg(21, [(v, 0) for v in range(1, 21)]))
 
 
 @given(n4_codes)
@@ -534,5 +573,6 @@ def test_heavy_set_absent_at_n6():
 
 
 def test_heavy_budget():
-    with pytest.raises(BudgetExceededError):
-        heavy_independent_set(Digraph(21, tuple([0] * 21)))
+    assert heavy_independent_set(Digraph(21, tuple([0] * 21))) == (1 << 21) - 1
+    with pytest.raises(BudgetExceededError, match="n <= 32"):
+        heavy_independent_set(Digraph(33, tuple([0] * 33)))
