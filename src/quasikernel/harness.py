@@ -17,9 +17,10 @@ digraph, and the sweep enforces that as a bug trap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .digraph import Digraph, adjacency_code, digraph_from_code, is_sink_free, sources_not_sinks, vertices_of
 from .exceptions import ParseError, PostconditionViolationError
@@ -197,7 +198,7 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     min_sl: Fraction | None = None
     extremal: list[CheckRecord] = []
     records: list[CheckRecord] = []
-    for d in iter_shard(digraphs, shard_count, shard_index):
+    for d in itertools.islice(digraphs, shard_index, None, shard_count):
         rec = check(d, spec)
         count += 1
         if keep_records:
@@ -266,10 +267,3 @@ def report_to_csv(report: Report) -> str:
             f"{rec.code_hex},{rec.n},{rec.objective},"
             f"{rec.bound.numerator},{rec.bound.denominator},{int(rec.passed)}")
     return "\n".join(lines) + "\n"
-
-
-def iter_shard(digraphs: Iterable[Digraph], shard_count: int, shard_index: int) -> Iterator[Digraph]:
-    """The subsequence a given shard would check; exposed for parallel runs."""
-    for i, d in enumerate(digraphs):
-        if i % shard_count == shard_index:
-            yield d

@@ -162,25 +162,6 @@ def project_blowup_qk(bmap: BlowupMap, qprime: int) -> int:
     return q
 
 
-def block_coverage_split(bmap: BlowupMap, qprime: int) -> tuple[int, int]:
-    """Split base vertices by whether n_minus_closed(blown, qprime) covers
-    their block.  For a maximal quasi-kernel of a weighted blowup every block
-    is covered all-or-nothing; a split block is a bug signal."""
-    check_set(bmap.blown, qprime)
-    covered = n_minus_closed(bmap.blown, qprime)
-    inside = 0
-    outside = 0
-    for v, block in enumerate(bmap.blocks):
-        hit = block & covered
-        if hit == block:
-            inside |= 1 << v
-        elif hit == 0:
-            outside |= 1 << v
-        else:
-            raise PostconditionViolationError(f"block of base vertex {v} is split by the coverage")
-    return inside, outside
-
-
 def sink_peel(solver: Callable[[Digraph], SolveResult], d: Digraph) -> SolveResult:
     """Lift a sink-free-only quasi-kernel solver to arbitrary digraphs.
 

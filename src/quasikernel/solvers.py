@@ -159,6 +159,12 @@ def find_kernel(d: Digraph) -> SolveResult:
     Absence is certified by the exhausted search, so ``verified`` is True
     either way.
     """
+    return _first_kernel(d, int.bit_count)
+
+
+def _first_kernel(d: Digraph, size) -> SolveResult:
+    """``find_kernel`` with kernels ranked by (``size(mask)``, mask); the
+    objective is that size."""
     in_rows = d.in_rows
     full = d.vertex_mask
 
@@ -168,15 +174,15 @@ def find_kernel(d: Digraph) -> SolveResult:
             low = probe & -probe
             closed |= in_rows[low.bit_length() - 1]
             probe ^= low
-        return mask.bit_count() if closed == full else None
+        return size(mask) if closed == full else None
 
     best = _least_maximal_independent_set(d, size_if_absorbing)
     if best is None:
         return SolveResult(None, 0, True)
-    size, mask = best
+    objective, mask = best
     if not is_kernel(d, mask):
         raise PostconditionViolationError("kernel search returned a non-kernel")
-    return SolveResult(mask, size, True)
+    return SolveResult(mask, objective, True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +278,6 @@ def max_large_quasi_kernel(d: Digraph) -> SolveResult:
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
     """Quasi-kernel maximizing the doubled objective |Q| + 2|N^-(Q)|."""
     return _max_quasi_kernel(d, sharp_score)
-
-
-def minimalize_quasi_kernel(d: Digraph, q: int) -> int:
-    """Inclusion-minimal quasi-kernel inside q, removing vertices in
-    decreasing index order."""
-    if not is_quasi_kernel(d, q):
-        raise ValueError("input is not a quasi-kernel")
-    for v in range(d.n - 1, -1, -1):
-        bit = 1 << v
-        if q & bit:
-            cand = q ^ bit
-            if is_quasi_kernel(d, cand):
-                q = cand
-    return q
 
 
 def maximalize_quasi_kernel(d: Digraph, q: int) -> int:

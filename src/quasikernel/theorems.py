@@ -23,15 +23,22 @@ Three pipelines, each returning a verified witness:
   picks the one whose size the counting argument controls.
 
 * ``small_qk_with_sources`` -- with s source-not-sink vertices the bound
-  relaxes to n - s/k.  Sources are pruned to a single out-arc, the rest of
-  the digraph is blown up so that a vertex fed by many sources becomes a
-  huge block, and a coverage-maximizing quasi-kernel of the blowup is
-  projected back: blocks its closed in-neighbourhood misses are exactly the
-  vertices whose sources must be taken wholesale.  The witness is finally
-  transferred back to the unpruned digraph.
+  relaxes to n - s/k.  Sources are pruned to a single out-arc and the rest,
+  the core, is weighted so that a vertex fed by many sources weighs a lot.
+  The heaviest part of the core is covered, ranking kernels of the grown
+  part by weight: core vertices the witness's closed in-neighbourhood
+  misses are exactly those whose sources must be taken wholesale.  The
+  witness is finally transferred back to the unpruned digraph.
 
 ``large_qk_from_partition`` is the coverage-side counterpart: covering the
 largest part yields ``n_minus_closed`` of size at least n/k.
+
+The paper proves the with-sources bound on a blowup of the core, where a
+vertex of weight w becomes an independent block of w twins.  Working on the
+weighted core gives the same witness: twins join a grown set one after
+another and a kernel or a maximal independent set holds a block whole or not
+at all, and blocks are consecutive, so the blowup's (size, mask) order is
+the core's (weight, mask) order.
 """
 
 from __future__ import annotations
@@ -55,9 +62,9 @@ from .digraph import (
     vertices_of,
 )
 from .exceptions import PostconditionViolationError
-from .reductions import block_coverage_split, project_blowup_qk, weighted_blowup
 from .solvers import (
     SolveResult,
+    _first_kernel,
     find_kernel,
     is_kernel_perfect,
     is_quasi_kernel,
@@ -103,9 +110,23 @@ def extend_to_dominating_kp_set(d: Digraph, p: int, check_pre: bool = True) -> i
 def quasi_kernel_covering(d: Digraph, p: int, check_pre: bool = True) -> int:
     """Quasi-kernel Q with p inside n_minus_closed(d, Q) and Q disjoint from
     n_minus_set(d, p); p must be kernel-perfect."""
+    return _cover(d, p, None, check_pre)
+
+
+def _weigher(weights):
+    """Size of a vertex set: its cardinality when ``weights`` is None, else
+    the sum of its vertices' weights."""
+    if weights is None:
+        return int.bit_count
+    return lambda mask: sum(weights[v] for v in iter_bits(mask))
+
+
+def _cover(d: Digraph, p: int, weights, check_pre: bool) -> int:
+    """``quasi_kernel_covering`` taking the kernel of the grown set that is
+    least by (weight, mask)."""
     ext = extend_to_dominating_kp_set(d, p, check_pre=check_pre)
     sub, emb = induced(d, ext)
-    kres = find_kernel(sub)
+    kres = _first_kernel(sub, _weigher(None if weights is None else [weights[v] for v in emb]))
     if kres.witness is None:
         raise PostconditionViolationError("kernel-perfect grown set has no kernel; table or growth bug")
     q = expand_set(kres.witness, emb)
@@ -240,14 +261,20 @@ def _union(masks) -> int:
 def large_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool = True) -> SolveResult:
     """Quasi-kernel whose n_minus_closed has size >= n/k: cover the largest
     part (first largest on ties)."""
-    parts = _checked_parts(d, partition, check_parts)
+    return _cover_largest(d, _checked_parts(d, partition, check_parts), None)
+
+
+def _cover_largest(d: Digraph, parts: list[int], weights) -> SolveResult:
+    """Cover the heaviest of k parts (first on ties); the objective, the
+    weight of ``n_minus_closed``, is at least 1/k of the total weight."""
+    weigh = _weigher(weights)
     k = len(parts)
-    largest = max(parts, key=lambda p: p.bit_count())
-    q = quasi_kernel_covering(d, largest, check_pre=False)
-    objective = n_minus_closed(d, q).bit_count()
-    if k * objective < d.n:
+    q = _cover(d, max(parts, key=weigh), weights, False)
+    objective = weigh(n_minus_closed(d, q))
+    total = weigh(d.vertex_mask)
+    if k * objective < total:
         raise PostconditionViolationError(
-            f"coverage {objective} below n/k for k={k}, n={d.n}; potential counterexample")
+            f"coverage {objective} below {total}/k for k={k}; potential counterexample")
     return SolveResult(q, objective, True)
 
 
@@ -255,19 +282,14 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
     """Quasi-kernel of size <= n - s/k where s counts source-not-sink
     vertices; sinks are allowed.
 
-    Pipeline: keep one out-arc per source (the smallest-index one); blow up
-    the sourceless core so a vertex fed by c sources becomes a block of
-    C*c + 1 copies with C = k*t + 1 (t = core size); take a
-    coverage-maximizing quasi-kernel of the blowup, grown to a maximal
-    independent set so blocks behave all-or-nothing; project it back; every
-    core vertex whose block the projection fails to reach in one step gets
-    its sources instead.  C is large enough that the counting argument
-    closes by integrality, and the result transfers to the unpruned digraph
-    after dropping sources whose restored arcs land in the witness.
-
-    The blowup has (k*t + 1)*s + t vertices (k >= 2 after padding); the
-    kernel search on its grown part, nearly all of it, raises
-    BudgetExceededError at once past ``MIS_BUDGET = 32`` (n = 8, s = 3: 38).
+    Pipeline: keep one out-arc per source (the smallest-index one); weigh a
+    vertex of the sourceless core fed by c sources C*c + 1 with C = k*t + 1
+    (t = core size); take a quasi-kernel covering the heaviest part of the
+    core, ranking kernels by weight, and grow it to a maximal independent
+    set; every core vertex it fails to reach in one step gets its sources
+    instead.  C is large enough that the counting argument closes by
+    integrality, and the result transfers to the unpruned digraph after
+    dropping sources whose restored arcs land in the witness.
     """
     parts = _checked_parts(d, partition, check_parts)
     k = len(parts)
@@ -284,36 +306,18 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
         pruned_rows[v] = row & -row
     d0 = Digraph(n, tuple(pruned_rows))
 
-    sub_a, emb_a = induced(d0, core_mask)
-    c_factor = k * t + 1
-    mult = tuple(c_factor * (d0.in_rows[a] & source_mask).bit_count() + 1 for a in emb_a)
-    blown, bmap = weighted_blowup(sub_a, mult)
-
-    blown_parts = []
-    for part in parts:
-        acc = 0
-        for v in iter_bits(part & core_mask):
-            acc |= bmap.blocks[emb_a.index(v)]
-        blown_parts.append(acc)
-    lres = large_qk_from_partition(blown, Partition(tuple(blown_parts), partition.kind),
-                                   check_parts=False)
-    qb = maximalize_quasi_kernel(blown, lres.witness)
-    for block in bmap.blocks:
-        hit = block & qb
-        if hit and hit != block:
-            raise PostconditionViolationError("maximal quasi-kernel took part of a block")
-
-    q_core_sub = project_blowup_qk(bmap, qb)
-    _, missed_sub = block_coverage_split(bmap, qb)
-    q_core = expand_set(q_core_sub, emb_a)
-    missed = expand_set(missed_sub, emb_a)
+    core, emb = induced(d0, core_mask)
+    weights = [(k * t + 1) * (d0.in_rows[a] & source_mask).bit_count() + 1 for a in emb]
+    core_parts = [compress_set(part & core_mask, emb) for part in parts]
+    q_core = expand_set(maximalize_quasi_kernel(core, _cover_largest(core, core_parts, weights).witness), emb)
+    missed = core_mask & ~n_minus_closed(d0, q_core)
 
     extras = 0
     for a in iter_bits(missed):
         extras |= d0.in_rows[a] & source_mask
     witness0 = q_core | extras
     if not is_quasi_kernel(d0, witness0):
-        raise PostconditionViolationError("projected witness fails on the pruned digraph")
+        raise PostconditionViolationError("core witness plus sources fails on the pruned digraph")
 
     drop = 0
     for v in iter_bits(witness0 & source_mask):

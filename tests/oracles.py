@@ -247,3 +247,44 @@ def oracle_first_partition(d, part_ok):
             if all(verdicts[b] for b in blocks):
                 return k, blocks
     raise AssertionError("singletons must pass part_ok")
+
+
+def oracle_sources_via_blowup(d, partition):
+    """The with-sources witness built as the paper states it, as a frozenset.
+
+    Sources (in-degree 0, out-degree > 0) keep their least out-arc; the core
+    (the other vertices) is blown up so that a core vertex fed by c kept arcs
+    becomes an independent block of (k*t + 1)*c + 1 twins (k parts, at least
+    2; t core vertices).  A quasi-kernel covering the largest blown part is
+    grown to a maximal independent set and projected to the blocks it hits;
+    the sources of every block its closed in-neighbourhood misses join, and
+    a source then drops out if one of its arcs lands in the witness.
+
+    Unlike the rest of this module it calls the library for the blowup, the
+    covering and the maximal growth (``weighted_blowup``,
+    ``large_qk_from_partition``, ``maximalize_quasi_kernel``): it is the
+    construction ``small_qk_with_sources`` must reproduce without building
+    the blowup.  The projection and the source bookkeeping are done here.
+    """
+    from quasikernel import (Digraph, Partition, large_qk_from_partition,
+                             maximalize_quasi_kernel, weighted_blowup)
+
+    adj, rad = adj_of(d), radj_of(d)
+    sources = {v for v in range(d.n) if adj[v] and not rad[v]}
+    kept = {v: min(adj[v]) for v in sources}
+    core = [v for v in range(d.n) if v not in sources]
+    label = {v: i for i, v in enumerate(core)}
+    base = Digraph.from_arcs(len(core), [(label[u], label[v]) for u in core for v in adj[u]])
+    parts = list(partition.parts) + [0] * (2 - len(partition.parts))
+    k, t = len(parts), len(core)
+    mult = [(k * t + 1) * sum(1 for v in sources if kept[v] == a) + 1 for a in core]
+    blown, bmap = weighted_blowup(base, mult)
+    blown_parts = [sum(bmap.blocks[label[v]] for v in core if part >> v & 1) for part in parts]
+    res = large_qk_from_partition(blown, Partition(tuple(blown_parts), partition.kind), check_parts=False)
+    qb = {x for x in range(blown.n) if maximalize_quasi_kernel(blown, res.witness) >> x & 1}
+    covered = oracle_n_minus_closed(blown, qb)
+    blocks = [{x for x in range(blown.n) if block >> x & 1} for block in bmap.blocks]
+    assert all(b <= covered or not b & covered for b in blocks), "a block is split"
+    witness = {a for a, b in zip(core, blocks) if b & qb}
+    witness |= {v for v in sources if not blocks[label[kept[v]]] & covered}
+    return frozenset(witness - {v for v in witness & sources if adj[v] & witness})

@@ -8,10 +8,13 @@ import pytest
 from quasikernel import (
     digraph_to_json,
     is_quasi_kernel,
+    kernel_perfect_number,
     make,
+    mask_of,
     parse,
     parse_family,
     serialize,
+    sources_not_sinks,
 )
 from quasikernel.cli import main
 
@@ -473,6 +476,22 @@ def test_solve_min_over_budget(capsys, tmp_path):
     code, out, err = run(capsys, ["solve", "--alg", "min", "--input", str(path)])
     assert (code, out) == (1, "")
     assert err == "qk: error: minimum quasi-kernel search budget is n <= 20\n"
+
+
+# the sources theorem's blowups of these have 38 and 66 vertices
+@pytest.mark.parametrize("family", ["random:8:1/4:5023932746043588245",
+                                    "random:12:1/4:8959837491476124066"])
+def test_solve_partition_sources_beyond_blowup_size(capsys, tmp_path, family):
+    d = make(parse_family(family))
+    path = tmp_path / "d.dg"
+    path.write_text(serialize(d))
+    code, out, _ = run(capsys, ["solve", "--alg", "partition-sources", "--input", str(path),
+                                "--format", "json"])
+    assert code == 0
+    witness = mask_of(json.loads(out)["witness"])
+    k = max(kernel_perfect_number(d)[0], 2)
+    assert is_quasi_kernel(d, witness)
+    assert k * witness.bit_count() <= k * d.n - sources_not_sinks(d).bit_count()
 
 
 def test_no_command_is_usage_error(capsys):

@@ -10,7 +10,6 @@ from quasikernel import (
     ParseError,
     adjacency_code,
     check,
-    iter_shard,
     make,
     merge_reports,
     parse_alpha,
@@ -236,14 +235,6 @@ def test_sharp_is_tight_on_circulant_five():
 # sharding and merging
 
 
-def test_iter_shard_partitions():
-    corpus = all_digraphs(3)
-    parts = [list(iter_shard(corpus, 3, i)) for i in range(3)]
-    assert sorted(len(p) for p in parts) == [21, 21, 22]
-    seen = [d for i in range(3) for d in parts[i]]
-    assert sorted(adjacency_code(d) for d in seen) == sorted(adjacency_code(d) for d in corpus)
-
-
 def _aggregate(rep):
     return (rep.count, rep.min_slack, sorted(r.code_hex for r in rep.extremal),
             sorted(r.code_hex for r in rep.failures))
@@ -252,9 +243,15 @@ def _aggregate(rep):
 def test_merge_reassembles_shards():
     corpus = all_digraphs(3, sink_free=True)
     whole = sweep(corpus, SMALL_HALF, "c")
-    shards = [sweep(corpus, SMALL_HALF, "c", shard_count=3, shard_index=i)
+    shards = [sweep(corpus, SMALL_HALF, "c", shard_count=3, shard_index=i, keep_records=True)
               for i in range(3)]
     assert sum(s.count for s in shards) == whole.count
+    # shard i checks the digraphs at stream indices i, i + 3, ...: the
+    # shards are disjoint and cover the corpus
+    codes = [format(adjacency_code(d), "x") for d in corpus]
+    for i, shard in enumerate(shards):
+        assert [r.code_hex for r in shard.records] == codes[i::3]
+    assert sorted(r.code_hex for s in shards for r in s.records) == sorted(codes)
 
     left = merge_reports(merge_reports(shards[0], shards[1]), shards[2])
     right = merge_reports(shards[0], merge_reports(shards[1], shards[2]))

@@ -8,7 +8,6 @@ from quasikernel import (
     OracleContractError,
     PostconditionViolationError,
     add_source_gadget,
-    block_coverage_split,
     c3_blowup,
     digraph_from_code,
     is_quasi_kernel,
@@ -16,7 +15,6 @@ from quasikernel import (
     mask_of,
     matching_split,
     max_large_quasi_kernel,
-    maximalize_quasi_kernel,
     min_quasi_kernel,
     n_minus_set,
     project_blowup_qk,
@@ -145,28 +143,6 @@ def test_c3_coverage_identity_spot():
         assert lhs == rhs
         seen += 1
     assert seen > 0
-
-
-# ---------------------------------------------------------------------------
-# block coverage split
-
-
-def test_block_coverage_split_partitions():
-    d = dg(2, [(0, 1)])
-    blown, bmap = weighted_blowup(d, (2, 2))
-    q = maximalize_quasi_kernel(blown, min_quasi_kernel(blown).witness)
-    inside, outside = block_coverage_split(bmap, q)
-    assert inside | outside == d.vertex_mask
-    assert inside & outside == 0
-
-
-def test_block_coverage_split_flags_partial_cover():
-    # one copy of a 2-block, block not dominated: the block is split
-    d = dg(2, [(0, 1), (1, 0)])
-    blown, bmap = weighted_blowup(d, (2, 2))
-    assert is_quasi_kernel(blown, 0b0100)  # one copy of vertex 1
-    with pytest.raises(PostconditionViolationError):
-        block_coverage_split(bmap, 0b0100)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from quasikernel import (
     max_sharp_quasi_kernel,
     maximalize_quasi_kernel,
     min_quasi_kernel,
-    minimalize_quasi_kernel,
     n_minus_closed,
     n_minus_set,
     n_plus_set,
@@ -267,25 +266,6 @@ def test_sharp_dominates_large_objective(code):
     d = digraph_from_code(5, code)
     # |Q| + 2|N^-(Q)| >= |Q| + |N^-(Q)| pointwise, so the maxima compare too
     assert max_sharp_quasi_kernel(d).objective >= max_large_quasi_kernel(d).objective
-
-
-def test_minimalize_quasi_kernel():
-    d = dg(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    q = mask_of([0, 2])
-    assert minimalize_quasi_kernel(d, q) == q
-    with pytest.raises(ValueError):
-        minimalize_quasi_kernel(d, mask_of([0, 1]))
-
-
-@given(n4_codes)
-def test_minimalize_yields_inclusion_minimal(code):
-    d = digraph_from_code(4, code)
-    q = max_large_quasi_kernel(d).witness
-    m = minimalize_quasi_kernel(d, q)
-    assert m & ~q == 0
-    assert is_quasi_kernel(d, m)
-    for v in vertices_of(m):
-        assert not is_quasi_kernel(d, m ^ (1 << v))
 
 
 @given(n4_codes)

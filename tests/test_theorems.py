@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quasikernel import (
     Digraph,
@@ -13,9 +13,11 @@ from quasikernel import (
     is_sink_free,
     kernel_perfect_number,
     large_qk_from_partition,
+    make,
     mask_of,
     n_minus_closed,
     n_minus_set,
+    parse_family,
     quasi_kernel_covering,
     small_qk_from_partition,
     small_qk_with_sources,
@@ -25,7 +27,8 @@ from quasikernel import (
 from quasikernel.digraph import digraph_from_code, enumerate_digraphs
 from quasikernel.solvers import _independent_extends, _min_partition_rgs
 
-from conftest import all_digraphs, dg
+from conftest import all_digraphs, dg, seeded_digraphs
+from oracles import oracle_sources_via_blowup
 
 
 sink_free_n3 = list(enumerate_digraphs(3, sink_free=True))
@@ -226,3 +229,37 @@ def test_sources_n4(code):
     s = sources_not_sinks(d).bit_count()
     assert is_quasi_kernel(d, res.witness)
     assert keff * res.witness.bit_count() <= keff * d.n - s
+
+
+def _assert_sources_match_blowup(d):
+    _, part = kernel_perfect_number(d)
+    res = small_qk_with_sources(d, part)
+    assert vertices_of(res.witness) == tuple(sorted(oracle_sources_via_blowup(d, part)))
+
+
+def test_sources_matches_blowup_exhaustive_n4():
+    for n in range(5):
+        for d in all_digraphs(n):
+            if sources_not_sinks(d):
+                _assert_sources_match_blowup(d)
+
+
+@given(seeded_digraphs(5, 5))
+@settings(max_examples=60, deadline=None)
+def test_sources_matches_blowup_n5(d):
+    assume(sources_not_sinks(d))
+    _assert_sources_match_blowup(d)
+
+
+# the blowups of these have 38 and 66 vertices
+SOURCES_BEYOND_BLOWUP = ("random:8:1/4:5023932746043588245", "random:12:1/4:8959837491476124066")
+
+
+@pytest.mark.parametrize("family", SOURCES_BEYOND_BLOWUP)
+def test_sources_beyond_blowup_size(family):
+    d = make(parse_family(family))
+    k, part = kernel_perfect_number(d)
+    res = small_qk_with_sources(d, part)
+    keff = max(k, 2)
+    assert is_quasi_kernel(d, res.witness)
+    assert keff * res.witness.bit_count() <= keff * d.n - sources_not_sinks(d).bit_count()
