@@ -287,10 +287,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"qk: error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError, BudgetExceededError, OSError) as e:
+    except (_UsageError, ParseError, ValueError, BudgetExceededError, OSError) as e:
         print(f"qk: error: {e}", file=sys.stderr)
         return 1
     except (PostconditionViolationError, OracleContractError) as e:

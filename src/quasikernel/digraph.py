@@ -35,7 +35,6 @@ from .exceptions import BudgetExceededError, ParseError
 MAX_VERTICES = 63
 
 ENUMERATE_ALL_BUDGET = 5
-ENUMERATE_CANONICAL_BUDGET = 6
 CANONICAL_FORM_BUDGET = 8
 
 
@@ -143,15 +142,6 @@ class Digraph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
-    def arc_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        _check_vertex(self, u)
-        _check_vertex(self, v)
-        return bool(self.rows[u] >> v & 1)
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Arcs in lexicographic (tail, head) order."""
         for u, row in enumerate(self.rows):
@@ -159,11 +149,6 @@ class Digraph:
                 low = row & -row
                 yield u, low.bit_length() - 1
                 row ^= low
-
-
-def _check_vertex(d: Digraph, v: int) -> None:
-    if not 0 <= v < d.n:
-        raise ValueError(f"vertex {v} out of range for n={d.n}")
 
 
 def check_set(d: Digraph, mask: int) -> None:
@@ -421,32 +406,18 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
     produced (generated directly, not by filtering).  With ``canonical=True``
     only the least-code representative of each isomorphism class is yielded.
     The stream order is deterministic, so consumers may split work by index.
+    Every stream raises ``BudgetExceededError`` for n outside 0..ENUMERATE_ALL_BUDGET.
     """
-    budget = ENUMERATE_CANONICAL_BUDGET if canonical else ENUMERATE_ALL_BUDGET
-    if not 0 <= n <= budget:
-        raise BudgetExceededError(f"enumeration budget is n <= {budget} (canonical={canonical})")
-
-    def stream() -> Iterator[Digraph]:
-        if n == 0:
-            yield Digraph(0, ())
-            return
-        w = n - 1
-        if sink_free:
-            if n == 1:
-                return
-            # most-significant row chunk first keeps codes increasing
-            for chunks in itertools.product(range(1, 1 << w), repeat=n):
-                rows = tuple(_row_from_chunk(u, chunks[n - 1 - u]) for u in range(n))
-                yield Digraph(n, rows)
-        else:
-            for code in range(1 << (n * w)):
-                yield digraph_from_code(n, code)
-
-    if not canonical:
-        yield from stream()
-        return
-    for d in stream():
-        if adjacency_code(d) == canonical_form(d):
+    if not 0 <= n <= ENUMERATE_ALL_BUDGET:
+        raise BudgetExceededError(f"enumeration budget is n <= {ENUMERATE_ALL_BUDGET}")
+    # One tuple of candidate out-rows per vertex, vertex n-1 first: its chunk
+    # holds the most significant code bits, and _row_from_chunk is increasing
+    # in the chunk, so the product runs in increasing code order.
+    first = 1 if sink_free else 0  # a sink-free row has at least one arc
+    tables = [tuple(_row_from_chunk(u, c) for c in range(first, 1 << (n - 1))) for u in reversed(range(n))]
+    for rows in itertools.product(*tables):
+        d = Digraph(n, rows[::-1])
+        if not canonical or adjacency_code(d) == canonical_form(d):
             yield d
 
 

@@ -85,10 +85,6 @@ class ConjectureSpec:
         if self.variant == "small" and not self.sink_free_version:
             raise ValueError("the small variant is stated for sink-free digraphs only")
 
-    def describe(self) -> str:
-        suffix = ":sink-free" if self.sink_free_version else ""
-        return f"{self.variant}:{self.alpha.numerator}/{self.alpha.denominator}{suffix}"
-
 
 @dataclass(frozen=True)
 class CheckRecord:

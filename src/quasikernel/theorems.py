@@ -43,7 +43,6 @@ the core's (weight, mask) order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .digraph import (
@@ -65,7 +64,6 @@ from .exceptions import PostconditionViolationError
 from .solvers import (
     SolveResult,
     _first_kernel,
-    find_kernel,
     is_kernel_perfect,
     is_quasi_kernel,
     maximalize_quasi_kernel,
@@ -170,9 +168,6 @@ class SmallQkTrace:
             "result": list(vertices_of(self.result)),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
 
 def _checked_parts(d: Digraph, partition: Partition, check_parts: bool) -> list[int]:
     check_partition(d, partition)
@@ -200,15 +195,7 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     n = d.n
     rows = d.rows
 
-    ext = extend_to_dominating_kp_set(d, parts[0], check_pre=False)
-    shrunk = [parts[i] & ~ext for i in range(1, k)]
-
-    sub, emb = induced(d, ext)
-    kres = find_kernel(sub)
-    if kres.witness is None:
-        raise PostconditionViolationError("grown kernel-perfect part has no kernel")
-    kernel = expand_set(kres.witness, emb)
-
+    kernel = _cover(d, parts[0], None, False)
     in_of_kernel = n_minus_set(d, kernel)
     core = kernel
     for v in reversed(vertices_of(kernel)):
@@ -218,7 +205,8 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
 
     leftover = kernel & ~core
     slab = in_of_kernel | core
-    refined = [leftover, slab] + [s & ~in_of_kernel for s in shrunk]
+    # the grown part lies in kernel | in_of_kernel (its kernel absorbs it)
+    refined = [leftover, slab] + [parts[i] & ~(kernel | in_of_kernel) for i in range(1, k)]
     if sum(p.bit_count() for p in refined) != n or _union(refined) != d.vertex_mask:
         raise PostconditionViolationError("refined parts do not partition the vertex set")
     remainder = d.vertex_mask & ~slab

@@ -56,7 +56,7 @@ def test_path_shape():
 
 def test_edgeless():
     d = edgeless(5)
-    assert d.arc_count == 0 and d.n == 5
+    assert d.rows == (0,) * 5
     with pytest.raises(ValueError):
         edgeless(-1)
 
@@ -70,7 +70,7 @@ def test_circulant_tournament_is_regular(n):
         assert d.rows[u].bit_count() == half
         assert d.in_rows[u].bit_count() == half
         for v in range(u + 1, n):
-            assert d.has_arc(u, v) != d.has_arc(v, u)
+            assert d.rows[u] >> v & 1 != d.rows[v] >> u & 1
 
 
 @pytest.mark.parametrize("n", [2, 4, 1])
@@ -117,25 +117,25 @@ def test_random_digraph_is_seed_deterministic(seed):
 
 
 def test_random_digraph_extreme_probabilities():
-    assert random_digraph(4, Fraction(0), 3).arc_count == 0
+    assert random_digraph(4, Fraction(0), 3).rows == (0,) * 4
     full = random_digraph(4, Fraction(1), 3)
-    assert full.arc_count == 12
+    assert len(list(full.arcs())) == 12
     with pytest.raises(ValueError):
         random_digraph(3, Fraction(3, 2), 0)
 
 
 def test_random_digraph_density_sane():
     d = random_digraph(20, Fraction(1, 2), 1)
-    assert 0.35 * 380 < d.arc_count < 0.65 * 380
+    assert 0.35 * 380 < len(list(d.arcs())) < 0.65 * 380
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_random_tournament_is_a_tournament(seed):
     t = random_tournament(4, seed)
-    assert t.arc_count == 6
+    assert len(list(t.arcs())) == 6
     for u in range(4):
         for v in range(u + 1, 4):
-            assert t.has_arc(u, v) != t.has_arc(v, u)
+            assert t.rows[u] >> v & 1 != t.rows[v] >> u & 1
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,6 @@ def test_spec_validation():
         ConjectureSpec("large", Fraction(2))
 
 
-def test_spec_describe():
-    assert SMALL_HALF.describe() == "small:1/2:sink-free"
-    assert ConjectureSpec("sharp", Fraction(1, 3)).describe() == "sharp:1/3"
-
-
 # ---------------------------------------------------------------------------
 # single-digraph checks
 

@@ -128,7 +128,7 @@ def test_small_rejects_bad_parts(c3):
 def test_small_trace_is_json_serializable(c4):
     _, part = kernel_perfect_number(c4)
     trace = small_qk_from_partition(c4, part)
-    decoded = json.loads(trace.dumps())
+    decoded = json.loads(json.dumps(trace.to_json()))
     assert decoded["result"] == list(vertices_of(trace.result))
     assert decoded["branch"] == trace.branch
     assert isinstance(trace, SmallQkTrace)
