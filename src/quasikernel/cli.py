@@ -16,6 +16,7 @@ import sys
 from . import harness
 from .digraph import (
     Digraph,
+    digraph_to_json,
     enumerate_digraphs,
     loads_json,
     mask_of,
@@ -212,8 +213,7 @@ def _cmd_reduce(args) -> int:
     else:
         raise _UsageError(f"unknown reduction kind {args.kind!r}")
     if args.format == "json":
-        print(json.dumps({"digraph": {"n": blown.n, "arcs": [list(a) for a in blown.arcs()]},
-                          "map": bmap.to_json()}, separators=(",", ":")))
+        print(json.dumps({"digraph": digraph_to_json(blown), "map": bmap.to_json()}, separators=(",", ":")))
     else:
         for v, block in enumerate(bmap.blocks):
             print(f"# block {v}: {_format_set(block)}")

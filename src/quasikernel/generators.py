@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .digraph import Digraph, disjoint_union
+from .digraph import MAX_VERTICES, Digraph, disjoint_union
 from .exceptions import ParseError
 
 
@@ -37,19 +37,19 @@ def cycle(n: int) -> Digraph:
     """Directed cycle 0 -> 1 -> ... -> n-1 -> 0 (n >= 2)."""
     if n < 2:
         raise ValueError(f"cycle needs n >= 2, got {n}")
-    return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+    return Digraph.from_arcs(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Digraph:
     """Directed path 0 -> 1 -> ... -> n-1."""
     if n < 1:
         raise ValueError(f"path needs n >= 1, got {n}")
-    return Digraph.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
+    return Digraph.from_arcs(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def edgeless(n: int) -> Digraph:
-    if n < 0:
-        raise ValueError(f"edgeless needs n >= 0, got {n}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"edgeless needs n in 0..{MAX_VERTICES}, got {n}")
     return Digraph(n, (0,) * n)
 
 
@@ -61,7 +61,7 @@ def circulant_tournament(n: int) -> Digraph:
     if n < 3 or n % 2 == 0:
         raise ValueError(f"circulant tournament needs odd n >= 3, got {n}")
     half = (n - 1) // 2
-    return Digraph.from_arcs(n, [(i, (i + j) % n) for i in range(n) for j in range(1, half + 1)])
+    return Digraph.from_arcs(n, ((i, (i + j) % n) for i in range(n) for j in range(1, half + 1)))
 
 
 def c3_power(k: int) -> Digraph:
@@ -83,8 +83,8 @@ def c3_power(k: int) -> Digraph:
 
 def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
     """Each of the n(n-1) possible arcs independently with exact probability p."""
-    if n < 0:
-        raise ValueError(f"random digraph needs n >= 0, got {n}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"random digraph needs n in 0..{MAX_VERTICES}, got {n}")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"arc probability must be in [0, 1], got {p}")
@@ -103,8 +103,8 @@ def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
 
 def random_tournament(n: int, seed: int) -> Digraph:
     """One arc per unordered pair, orientation decided by the word's parity."""
-    if n < 0:
-        raise ValueError(f"random tournament needs n >= 0, got {n}")
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"random tournament needs n in 0..{MAX_VERTICES}, got {n}")
     rng = SplitMix64(seed)
     rows = [0] * n
     for u in range(n):

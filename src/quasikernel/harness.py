@@ -55,7 +55,7 @@ VARIANTS = tuple(_VARIANTS)
 def parse_alpha(text: str) -> Fraction:
     """Exact 'P/Q' only; decimals and bare integers are rejected."""
     parts = text.strip().split("/")
-    if len(parts) != 2 or not all(p.isdigit() and p for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError(f"alpha must be an exact fraction 'P/Q', got {text!r}")
     num, den = int(parts[0]), int(parts[1])
     if den == 0:

@@ -10,9 +10,11 @@ Everything here is exhaustive and exact, sized for a desk, and identical runs
 give identical output.  The minimum quasi-kernel search walks bit masks in
 (cardinality, numeric) order and returns the first hit.  Kernels, heavy
 independent sets and maximum (large, sharp) quasi-kernels are maximal
-independent sets, so those searches keep, of the sets Bron--Kerbosch with
-Tomita pivoting lists, the one with the least key (size, or negated score),
-ties to the least mask: still the first optimum over all masks.
+independent sets Q.  Bron--Kerbosch with Tomita pivoting lists each with
+N^-(Q) and N^+(Q), and those searches keep the set with the least key, one
+expression over the three (size, or negated score), ties to the least mask:
+still the first optimum over all masks.  Large and sharp witnesses are
+re-scored once by definition.
 The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
 adding the vertices in ascending order.  They test only the parts the walk
 builds, one vertex at a time: a predicate says whether a valid part plus the
@@ -45,6 +47,7 @@ from .digraph import (
     n_minus_closed,
     n_minus_minus_closed,
     n_minus_set,
+    n_plus_set,
 )
 from .exceptions import BudgetExceededError, PostconditionViolationError
 
@@ -78,28 +81,30 @@ def _masks_by_size(n: int):
             m = r | (((r ^ m) >> 2) // c)
 
 
-def _maximal_independent_sets(d: Digraph) -> list[int]:
-    """Every maximal independent set of the underlying undirected graph, as
-    masks in no particular order, each exactly once.
+def _maximal_independent_sets(d: Digraph):
+    """Yield (Q, N^-(Q), N^+(Q)) for every maximal independent set Q of the
+    underlying undirected graph, in no particular order, each exactly once.
 
     Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
     (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
-    reached by disjoint triangles.
+    reached by disjoint triangles.  Each branch ORs the new vertex's rows
+    into the neighbourhoods; no row meets the independent Q.
     """
     n = d.n
     if n > MIS_BUDGET:
         raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
     if not n:
-        return [0]  # the empty set; the search below reports only nonempty sets
+        yield 0, 0, 0  # the empty set; the search below reports only nonempty sets
+        return
     rows = d.rows
     in_rows = d.in_rows
     closed = [rows[v] | in_rows[v] | 1 << v for v in range(n)]
-    out = []
-    # (r, p, x): r is independent; p and x hold the vertices with no arc to
-    # or from r, those still to branch on and those already branched on
-    stack = [(0, d.vertex_mask, 0)]
+    # (r, p, x, ins, outs): r is independent with in- and out-neighbourhoods
+    # ins and outs; p and x hold the vertices with no arc to or from r, those
+    # still to branch on and those already branched on
+    stack = [(0, d.vertex_mask, 0, 0, 0)]
     while stack:
-        r, p, x = stack.pop()
+        r, p, x, ins, outs = stack.pop()
         # every set still to report takes a vertex of p & closed[u] for each
         # u in p | x (else u could join it), so branch on the smallest one
         branch = p
@@ -116,26 +121,26 @@ def _maximal_independent_sets(d: Digraph) -> list[int]:
             probe ^= low
         while branch:
             low = branch & -branch
-            cv = closed[low.bit_length() - 1]
+            v = low.bit_length() - 1
+            cv = closed[v]
             p_next = p & ~cv
             x_next = x & ~cv
             if p_next:
-                stack.append((r | low, p_next, x_next))
+                stack.append((r | low, p_next, x_next, ins | in_rows[v], outs | rows[v]))
             elif not x_next:
-                out.append(r | low)
+                yield r | low, ins | in_rows[v], outs | rows[v]
             p ^= low
             x |= low
             branch ^= low
-    return out
 
 
 def _least_maximal_independent_set(d: Digraph, key):
-    """(key, mask) of the maximal independent set with the least
-    ``key(mask)``, ties to the least mask; sets whose key is None are
-    skipped, and None is returned if all are."""
+    """(key, mask) of the maximal independent set Q with the least
+    ``key(Q, N^-(Q), N^+(Q))``, ties to the least mask; sets whose key is
+    None are skipped, and None is returned if all are."""
     best = None
-    for mask in _maximal_independent_sets(d):
-        k = key(mask)
+    for mask, ins, outs in _maximal_independent_sets(d):
+        k = key(mask, ins, outs)
         if k is not None and (best is None or (k, mask) < best):
             best = k, mask
     return best
@@ -165,18 +170,9 @@ def find_kernel(d: Digraph) -> SolveResult:
 def _first_kernel(d: Digraph, size) -> SolveResult:
     """``find_kernel`` with kernels ranked by (``size(mask)``, mask); the
     objective is that size."""
-    in_rows = d.in_rows
     full = d.vertex_mask
-
-    def size_if_absorbing(mask: int) -> int | None:
-        closed = probe = mask
-        while probe:
-            low = probe & -probe
-            closed |= in_rows[low.bit_length() - 1]
-            probe ^= low
-        return size(mask) if closed == full else None
-
-    best = _least_maximal_independent_set(d, size_if_absorbing)
+    best = _least_maximal_independent_set(
+        d, lambda mask, ins, outs: size(mask) if mask | ins == full else None)
     if best is None:
         return SolveResult(None, 0, True)
     objective, mask = best
@@ -245,39 +241,49 @@ def sharp_score(d: Digraph, q: int) -> int:
     return q.bit_count() + 2 * n_minus_set(d, q).bit_count()
 
 
-def _max_quasi_kernel(d: Digraph, score) -> SolveResult:
-    """Quasi-kernel maximizing ``score(d, Q)``; first optimum in ascending
-    mask order.
+def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
+    """Quasi-kernel maximizing |Q| + weight * |N^-(Q)|, which must equal
+    ``score(d, Q)`` on the witness; first optimum in ascending mask order.
 
     Only maximal independent sets are scored.  If a quasi-kernel Q has a
     vertex v with no arc to or from Q, then Q + v is independent and still
     reaches every vertex within two steps, so it is a quasi-kernel.  It
-    scores strictly higher on both objectives: v joins n_minus_closed(D, Q),
-    and |Q| grows while n_minus_set(D, Q) keeps every member, since v has no
-    arc into Q.  So every optimum is a maximal independent set, and the
-    least-mask optimal one is the first optimum over all masks.
+    scores strictly higher: |Q| grows while N^-(Q) keeps every member,
+    since v has no arc into Q.  So every optimum is a maximal independent
+    set, and the least-mask optimal one is the first optimum over all masks.
+    Such a Q is a quasi-kernel iff Q, N^-(Q) and N^-(N^-(Q)) cover D.
     """
-    rows = d.rows
     in_rows = d.in_rows
     full = d.vertex_mask
-    best = _least_maximal_independent_set(
-        d, lambda mask: -score(d, mask) if _qk_raw(rows, in_rows, full, mask) else None)
+
+    def negated_objective(mask: int, ins: int, outs: int) -> int | None:
+        twice = mask | ins
+        probe = ins
+        while probe:
+            low = probe & -probe
+            twice |= in_rows[low.bit_length() - 1]
+            probe ^= low
+        return -(mask.bit_count() + weight * ins.bit_count()) if twice == full else None
+
+    best = _least_maximal_independent_set(d, negated_objective)
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")
     neg_obj, mask = best
     if not is_quasi_kernel(d, mask):
         raise PostconditionViolationError("quasi-kernel search returned a bad witness")
+    if score(d, mask) != -neg_obj:
+        raise PostconditionViolationError("quasi-kernel search mis-scored its witness's objective")
     return SolveResult(mask, -neg_obj, True)
 
 
 def max_large_quasi_kernel(d: Digraph) -> SolveResult:
     """Quasi-kernel maximizing |n_minus_closed(D, Q)|."""
-    return _max_quasi_kernel(d, large_score)
+    return _max_quasi_kernel(d, 1, large_score)
 
 
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
     """Quasi-kernel maximizing the doubled objective |Q| + 2|N^-(Q)|."""
-    return _max_quasi_kernel(d, sharp_score)
+    return _max_quasi_kernel(d, 2, sharp_score)
 
 
 def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
@@ -578,25 +584,15 @@ def heavy_independent_set(d: Digraph) -> int:
     4->0, 4->1, 4->2, 5->2 has the maximal independent sets {0, 1}, {1, 2}
     and {3, 4, 5}, and none of them is in-heavy.
     """
-    rows = d.rows
-    in_rows = d.in_rows
-
-    def size_if_in_heavy(mask: int) -> int | None:
-        ins = outs = 0  # an independent set meets neither neighbourhood
-        probe = mask
-        while probe:
-            low = probe & -probe
-            v = low.bit_length() - 1
-            ins |= in_rows[v]
-            outs |= rows[v]
-            probe ^= low
-        return mask.bit_count() if ins.bit_count() >= outs.bit_count() else None
-
-    best = _least_maximal_independent_set(d, size_if_in_heavy)
+    best = _least_maximal_independent_set(
+        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None)
     if best is None:
         raise PostconditionViolationError(
             "no in-heavy maximal independent set exists here; potential counterexample")
     mask = best[1]
-    if not is_independent(d, mask):
-        raise PostconditionViolationError("heavy search returned a dependent set")
+    ins = n_minus_set(d, mask)
+    outs = n_plus_set(d, mask)
+    if (not is_independent(d, mask) or mask | ins | outs != d.vertex_mask
+            or ins.bit_count() < outs.bit_count()):
+        raise PostconditionViolationError("heavy search returned no in-heavy maximal independent set")
     return mask

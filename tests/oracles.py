@@ -31,6 +31,12 @@ def oracle_n_minus(d, s):
     return {u for v in s for u in rad[v]} - set(s)
 
 
+def oracle_n_plus(d, s):
+    """Out-neighbours of the set s, members of s excluded."""
+    adj = adj_of(d)
+    return {w for v in s for w in adj[v]} - set(s)
+
+
 def oracle_n_minus_closed(d, s):
     return oracle_n_minus(d, s) | set(s)
 

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -89,6 +89,16 @@ def test_c3_power_sizes_and_recursion():
         c3_power(-1)
 
 
+@pytest.mark.parametrize("expr", [
+    "cycle:1000000000", "path:1000000000", "edgeless:1000000000", "circulant:1000000001",
+    "random:1000000000:1/2:1", "random_tournament:1000000000:1",
+])
+def test_oversized_orders_fail_before_any_work(expr):
+    # each check runs before anything that grows with n is built or drawn
+    with pytest.raises(ValueError, match=r"0\.\.63, got 100000000"):
+        make(parse_family(expr))
+
+
 # ---------------------------------------------------------------------------
 # seeded random corpora
 

@@ -42,7 +42,7 @@ def test_parse_alpha(text, value):
 
 
 @pytest.mark.parametrize("text", [
-    "0.5", "1", "1/0", "3/2", "0/2", "-1/2", "1/2/3", "a/b", "", "1/ 2",
+    "0.5", "1", "1/0", "3/2", "0/2", "-1/2", "1/2/3", "a/b", "", "1/ 2", "²/3",
 ])
 def test_parse_alpha_rejects(text):
     with pytest.raises(ParseError):

@@ -22,7 +22,6 @@ from quasikernel import (
     max_sharp_quasi_kernel,
     maximalize_quasi_kernel,
     min_quasi_kernel,
-    n_minus_closed,
     n_minus_set,
     n_plus_set,
     odd_dicycle_free,
@@ -33,7 +32,6 @@ from quasikernel import (
 from quasikernel import solvers
 from quasikernel.digraph import (
     digraph_from_code,
-    enumerate_digraphs,
     induced,
     is_acyclic_set,
     is_independent,
@@ -197,9 +195,14 @@ def _digraphs_of_order(lo, hi):
 
 
 def _mis_matches_oracle(d):
-    got = _maximal_independent_sets(d)
-    assert len(got) == len(set(got))
-    assert {frozenset(vertices_of(m)) for m in got} == set(oracles.oracle_maximal_independent_sets(d))
+    got = list(_maximal_independent_sets(d))
+    masks = [q for q, _, _ in got]
+    assert len(masks) == len(set(masks))
+    assert {frozenset(vertices_of(m)) for m in masks} == set(oracles.oracle_maximal_independent_sets(d))
+    for q, ins, outs in got:
+        s = set(vertices_of(q))
+        assert set(vertices_of(ins)) == oracles.oracle_n_minus(d, s)
+        assert set(vertices_of(outs)) == oracles.oracle_n_plus(d, s)
 
 
 def test_maximal_independent_sets_match_oracle_exhaustively():
@@ -208,7 +211,7 @@ def test_maximal_independent_sets_match_oracle_exhaustively():
             _mis_matches_oracle(d)
 
 
-@given(_digraphs_of_order(5, 8))
+@given(_digraphs_of_order(6, 9))
 @settings(max_examples=60, deadline=None)
 def test_maximal_independent_sets_match_oracle(d):
     _mis_matches_oracle(d)
@@ -243,7 +246,7 @@ def test_max_witness_is_first_optimum(d):
 
 def test_max_quasi_kernels_on_the_empty_digraph():
     d = Digraph(0, ())
-    assert _maximal_independent_sets(d) == [0]
+    assert list(_maximal_independent_sets(d)) == [(0, 0, 0)]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
 
@@ -544,12 +547,33 @@ def test_heavy_set_absent_at_n6():
                (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
     with pytest.raises(PostconditionViolationError, match="potential counterexample"):
         heavy_independent_set(d)
-    adj = oracles.adj_of(d)
     maximal = oracles.oracle_maximal_independent_sets(d)
     assert maximal == [{0, 1}, {1, 2}, {3, 4, 5}]
     for s in maximal:
-        n_plus = {w for v in s for w in adj[v]} - s
-        assert len(oracles.oracle_n_minus(d, s)) < len(n_plus)
+        assert len(oracles.oracle_n_minus(d, s)) < len(oracles.oracle_n_plus(d, s))
+
+
+def test_mis_neighbourhoods_are_rechecked(monkeypatch):
+    real = solvers._maximal_independent_sets
+    # every set claims to be in-heavy: none of these three is
+    heavy_free = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
+                        (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
+    monkeypatch.setattr(solvers, "_maximal_independent_sets",
+                        lambda d: ((q, d.vertex_mask, 0) for q, _, _ in real(d)))
+    with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
+        heavy_independent_set(heavy_free)
+    # a set that is not maximal
+    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d: iter([(0, d.vertex_mask, 0)]))
+    with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
+        heavy_independent_set(heavy_free)
+    # on the directed triangle each single vertex is a quasi-kernel with one
+    # in-neighbour; claiming two inflates the objective
+    monkeypatch.setattr(solvers, "_maximal_independent_sets",
+                        lambda d: ((q, d.vertex_mask & ~q, outs) for q, _, outs in real(d)))
+    triangle = dg(3, [(0, 1), (1, 2), (2, 0)])
+    for solver, _ in MAX_QK:
+        with pytest.raises(PostconditionViolationError, match="objective"):
+            solver(triangle)
 
 
 def test_heavy_budget():

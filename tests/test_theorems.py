@@ -4,13 +4,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from quasikernel import (
-    Digraph,
     Partition,
     SmallQkTrace,
     extend_to_dominating_kp_set,
     is_kernel_perfect,
     is_quasi_kernel,
-    is_sink_free,
     kernel_perfect_number,
     large_qk_from_partition,
     make,
