@@ -2,98 +2,34 @@
 
 Bitmask digraph core, brute-force solvers, constructive partition pipelines,
 blowup reductions between the bound variants, and a sweep harness.
+
+The package namespace holds the solvers, the partition theorems, the sweep
+entry points, the digraph type with its parser and mask helpers, and the
+exceptions they raise; everything else is imported from its own module.
 """
 
-from .digraph import (
-    CANONICAL_FORM_BUDGET,
-    ENUMERATE_ALL_BUDGET,
-    MAX_VERTICES,
-    PART_KINDS,
-    Digraph,
-    Partition,
-    adjacency_code,
-    canonical_form,
-    check_partition,
-    digraph_from_code,
-    digraph_from_json,
-    digraph_to_json,
-    disjoint_union,
-    dumps_json,
-    enumerate_digraphs,
-    is_acyclic_set,
-    is_independent,
-    is_sink_free,
-    iter_bits,
-    loads_json,
-    mask_of,
-    n_minus_closed,
-    n_minus_minus_closed,
-    n_minus_set,
-    n_plus_set,
-    odd_dicycle_free,
-    parse,
-    serialize,
-    sinks,
-    sources_not_sinks,
-    vertices_of,
-)
+from .digraph import Digraph, Partition, enumerate_digraphs, iter_bits, mask_of, parse, vertices_of
 from .exceptions import (
     BudgetExceededError,
     OracleContractError,
     ParseError,
     PostconditionViolationError,
 )
-from .generators import (
-    FamilySpec,
-    SplitMix64,
-    make,
-    parse_family,
-    random_digraph,
-    random_tournament,
-)
-from .harness import (
-    CheckRecord,
-    ConjectureSpec,
-    Report,
-    check,
-    merge_reports,
-    parse_alpha,
-    report_to_csv,
-    slack,
-    sweep,
-)
-from .reductions import (
-    BlowupMap,
-    MatchingSplit,
-    add_source_gadget,
-    c3_blowup,
-    matching_split,
-    project_blowup_qk,
-    qk_via_ii_oracle,
-    sink_peel,
-    weighted_blowup,
-)
+from .harness import ConjectureSpec, merge_reports, sweep
+from .reductions import qk_via_ii_oracle
 from .solvers import (
-    SolveResult,
     chromatic_number,
     dichromatic_number,
     find_kernel,
     heavy_independent_set,
-    is_kernel,
-    is_kernel_perfect,
-    is_quasi_kernel,
     kernel_perfect_number,
     large_score,
     max_large_quasi_kernel,
     max_sharp_quasi_kernel,
-    maximalize_quasi_kernel,
     min_quasi_kernel,
-    quasi_kernels,
     sharp_score,
 )
 from .theorems import (
-    SmallQkTrace,
-    extend_to_dominating_kp_set,
     large_qk_from_partition,
     quasi_kernel_covering,
     small_qk_from_partition,
@@ -103,85 +39,33 @@ from .theorems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowupMap",
     "BudgetExceededError",
-    "CANONICAL_FORM_BUDGET",
-    "CheckRecord",
     "ConjectureSpec",
     "Digraph",
-    "ENUMERATE_ALL_BUDGET",
-    "FamilySpec",
-    "MAX_VERTICES",
-    "MatchingSplit",
     "OracleContractError",
-    "PART_KINDS",
     "ParseError",
     "Partition",
     "PostconditionViolationError",
-    "Report",
-    "SmallQkTrace",
-    "SolveResult",
-    "SplitMix64",
-    "add_source_gadget",
-    "adjacency_code",
-    "c3_blowup",
-    "canonical_form",
-    "check",
-    "check_partition",
     "chromatic_number",
     "dichromatic_number",
-    "digraph_from_code",
-    "digraph_from_json",
-    "digraph_to_json",
-    "disjoint_union",
-    "dumps_json",
     "enumerate_digraphs",
-    "extend_to_dominating_kp_set",
     "find_kernel",
     "heavy_independent_set",
-    "is_acyclic_set",
-    "is_independent",
-    "is_kernel",
-    "is_kernel_perfect",
-    "is_quasi_kernel",
-    "is_sink_free",
     "iter_bits",
     "kernel_perfect_number",
     "large_qk_from_partition",
     "large_score",
-    "loads_json",
-    "make",
     "mask_of",
-    "matching_split",
     "max_large_quasi_kernel",
     "max_sharp_quasi_kernel",
-    "maximalize_quasi_kernel",
     "merge_reports",
     "min_quasi_kernel",
-    "n_minus_closed",
-    "n_minus_minus_closed",
-    "n_minus_set",
-    "n_plus_set",
-    "odd_dicycle_free",
     "parse",
-    "parse_alpha",
-    "parse_family",
-    "project_blowup_qk",
     "qk_via_ii_oracle",
     "quasi_kernel_covering",
-    "quasi_kernels",
-    "random_digraph",
-    "random_tournament",
-    "report_to_csv",
-    "serialize",
     "sharp_score",
-    "sink_peel",
-    "sinks",
-    "slack",
     "small_qk_from_partition",
     "small_qk_with_sources",
-    "sources_not_sinks",
     "sweep",
     "vertices_of",
-    "weighted_blowup",
 ]

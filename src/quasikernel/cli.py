@@ -16,6 +16,7 @@ import sys
 from . import harness
 from .digraph import (
     Digraph,
+    _decimal,
     digraph_to_json,
     enumerate_digraphs,
     loads_json,
@@ -31,7 +32,7 @@ from .exceptions import (
     ParseError,
     PostconditionViolationError,
 )
-from .generators import make, parse_family
+from .generators import FAMILIES, family_usage, make, parse_family
 from .reductions import add_source_gadget, c3_blowup, weighted_blowup
 from .solvers import (
     find_kernel,
@@ -78,7 +79,7 @@ def _parse_set(text: str) -> int:
     if not text:
         return 0
     try:
-        return mask_of(int(tok) for tok in text.split(","))
+        return mask_of(_decimal(tok.strip()) for tok in text.split(","))
     except ValueError:
         raise ParseError(f"bad vertex list {text!r}: expected comma-separated integers") from None
 
@@ -223,7 +224,7 @@ def _cmd_reduce(args) -> int:
 
 def _positive_int(token: str, kind: str) -> int:
     try:
-        value = int(token)
+        value = _decimal(token)
     except ValueError:
         raise _UsageError(f"{kind} needs an integer parameter, got {token!r}") from None
     if value < 1:
@@ -252,21 +253,19 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep", help="check a bound over all digraphs of a given order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
     p.add_argument("--conjecture", choices=harness.VARIANTS, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--sink-free", action="store_true")
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--shard", type=int, default=0)
+    p.add_argument("--shards", type=_decimal, default=1)
+    p.add_argument("--shard", type=_decimal, default=0)
     p.add_argument("--records", action="store_true", help="keep one record per digraph")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a named family digraph")
-    p.add_argument("--family", required=True,
-                   help="cycle:N path:N edgeless:N circulant:N c3pow:K "
-                        "random:N:P/Q:SEED random_tournament:N:SEED union:A,B,...")
+    p.add_argument("--family", required=True, help=" ".join(map(family_usage, FAMILIES)))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("kp", help="kernel-perfect partition number with certificate")

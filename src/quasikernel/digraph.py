@@ -425,6 +425,14 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
 # text and JSON formats
 
 
+def _decimal(token: str) -> int:
+    """A count or index written in ASCII digits only: unlike ``int``, no sign,
+    underscore, surrounding space or non-ASCII digit."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
+
+
 def parse(text: str) -> Digraph:
     """Parse the line format: a vertex-count header, then one "u v" per arc.
 
@@ -439,7 +447,7 @@ def parse(text: str) -> Digraph:
         raise ParseError("missing header line with the vertex count")
     header = entries[0]
     try:
-        n = int(header)
+        n = _decimal(header)
     except ValueError:
         raise ParseError(f"malformed header {header!r}: expected a vertex count") from None
     arcs = []
@@ -448,7 +456,7 @@ def parse(text: str) -> Digraph:
         if len(parts) != 2:
             raise ParseError(f"malformed arc line {line!r}: expected 'u v'")
         try:
-            arcs.append((int(parts[0]), int(parts[1])))
+            arcs.append((_decimal(parts[0]), _decimal(parts[1])))
         except ValueError:
             raise ParseError(f"malformed arc line {line!r}: expected two integers") from None
     try:

@@ -10,11 +10,12 @@ orient u -> v on an even word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import MAX_VERTICES, Digraph, disjoint_union
+from .digraph import MAX_VERTICES, Digraph, _decimal, disjoint_union
 from .exceptions import ParseError
+from .reductions import c3_blowup
 
 
 class SplitMix64:
@@ -73,8 +74,6 @@ def c3_power(k: int) -> Digraph:
     """
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    from .reductions import c3_blowup  # local import to avoid a cycle
-
     d = Digraph(1, (0,))
     for _ in range(k):
         d, _ = c3_blowup(d)
@@ -116,47 +115,51 @@ def random_tournament(n: int, seed: int) -> Digraph:
     return Digraph(n, tuple(rows))
 
 
+# grammar head -> (parameter kinds, builder).  The builders look the module
+# functions up at call time, so rebinding a module attribute takes effect.
+FAMILIES = {
+    "cycle": (("N",), lambda n: cycle(n)),
+    "path": (("N",), lambda n: path(n)),
+    "edgeless": (("N",), lambda n: edgeless(n)),
+    "circulant": (("N",), lambda n: circulant_tournament(n)),
+    "c3pow": (("K",), lambda k: c3_power(k)),
+    "random": (("N", "P/Q", "SEED"), lambda n, p, seed: random_digraph(n, p, seed)),
+    "random_tournament": (("N", "SEED"), lambda n, seed: random_tournament(n, seed)),
+    "union": (("A,B,...",), lambda members: union_family(members)),
+}
+
+
+def _fraction(token: str) -> Fraction:
+    num, den = map(_decimal, token.split("/"))
+    return Fraction(num, den)
+
+
+_PARSE_PARAMETER = {"N": _decimal, "K": _decimal, "SEED": _decimal, "P/Q": _fraction}
+
+
+def family_usage(head: str) -> str:
+    """The grammar of one family, e.g. ``random:N:P/Q:SEED``."""
+    return ":".join((head, *FAMILIES[head][0]))
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed family expression; see parse_family for the grammar."""
+    """Parsed family expression: the grammar head, its parsed parameters,
+    and for a union the member specs; see parse_family."""
 
     kind: str
-    n: int | None = None
-    power: int | None = None
-    probability: Fraction | None = None
-    seed: int | None = None
-    members: tuple["FamilySpec", ...] = field(default=())
+    args: tuple = ()
+    members: tuple["FamilySpec", ...] = ()
 
 
 def make(spec: FamilySpec) -> Digraph:
-    kind = spec.kind
-    if kind == "cycle":
-        return cycle(_want(spec.n, kind, "n"))
-    if kind == "path":
-        return path(_want(spec.n, kind, "n"))
-    if kind == "edgeless":
-        return edgeless(_want(spec.n, kind, "n"))
-    if kind == "circulant_tournament":
-        return circulant_tournament(_want(spec.n, kind, "n"))
-    if kind == "c3_power":
-        return c3_power(_want(spec.power, kind, "power"))
-    if kind == "random":
-        return random_digraph(
-            _want(spec.n, kind, "n"),
-            _want(spec.probability, kind, "probability"),
-            _want(spec.seed, kind, "seed"),
-        )
-    if kind == "random_tournament":
-        return random_tournament(_want(spec.n, kind, "n"), _want(spec.seed, kind, "seed"))
-    if kind == "union":
-        return union_family(spec.members)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _want(value, kind: str, name: str):
-    if value is None:
-        raise ValueError(f"family {kind!r} needs parameter {name!r}")
-    return value
+    if spec.kind not in FAMILIES:
+        raise ValueError(f"unknown family kind {spec.kind!r}")
+    params, build = FAMILIES[spec.kind]
+    args = (spec.members,) if spec.kind == "union" else spec.args
+    if len(args) != len(params):
+        raise ValueError(f"family {spec.kind!r} takes {family_usage(spec.kind)}, got {args!r}")
+    return build(*args)
 
 
 def union_family(specs) -> Digraph:
@@ -168,9 +171,9 @@ def union_family(specs) -> Digraph:
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Grammar: cycle:N | path:N | edgeless:N | circulant:N | c3pow:K
-    | random:N:P/Q:SEED | random_tournament:N:SEED
-    | union:MEMBER,MEMBER,...  (members are any non-union expression).
+    """Parse one expression of the grammar in FAMILIES, such as ``cycle:4``,
+    ``random:8:1/3:42`` or ``union:cycle:2,cycle:4``.  Every parameter is
+    written in ASCII digits; union members are any non-union expression.
     """
     text = text.strip()
     head, sep, rest = text.partition(":")
@@ -181,38 +184,12 @@ def parse_family(text: str) -> FamilySpec:
         if any(m.kind == "union" for m in members):
             raise ParseError("nested unions are not supported")
         return FamilySpec("union", members=members)
-    args = rest.split(":") if sep else []
-    if head in ("cycle", "path", "edgeless", "circulant"):
-        kind = "circulant_tournament" if head == "circulant" else head
-        return FamilySpec(kind, n=_int_arg(text, args, 1, 0))
-    if head == "c3pow":
-        return FamilySpec("c3_power", power=_int_arg(text, args, 1, 0))
-    if head == "random":
-        if len(args) != 3:
-            raise ParseError(f"bad family expression {text!r}: expected random:N:P/Q:SEED")
-        num, _, den = args[1].partition("/")
-        try:
-            prob = Fraction(int(num), int(den)) if den else None
-        except (ValueError, ZeroDivisionError):
-            prob = None
-        if prob is None:
-            raise ParseError(f"bad arc probability {args[1]!r}: expected P/Q")
-        return FamilySpec("random", n=_int_only(text, args[0]), probability=prob, seed=_int_only(text, args[2]))
-    if head == "random_tournament":
-        if len(args) != 2:
-            raise ParseError(f"bad family expression {text!r}: expected random_tournament:N:SEED")
-        return FamilySpec("random_tournament", n=_int_only(text, args[0]), seed=_int_only(text, args[1]))
-    raise ParseError(f"unknown family {head!r}")
-
-
-def _int_arg(text: str, args: list[str], want: int, idx: int) -> int:
-    if len(args) != want:
-        raise ParseError(f"bad family expression {text!r}: expected {want} parameter(s)")
-    return _int_only(text, args[idx])
-
-
-def _int_only(text: str, token: str) -> int:
+    if head not in FAMILIES:
+        raise ParseError(f"unknown family {head!r}")
+    tokens = rest.split(":") if sep else []
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad family expression {text!r}: {token!r} is not an integer") from None
+        args = tuple(_PARSE_PARAMETER[param](token)
+                     for param, token in zip(FAMILIES[head][0], tokens, strict=True))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad family expression {text!r}: expected {family_usage(head)}") from None
+    return FamilySpec(head, args)

@@ -22,13 +22,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .digraph import Digraph, adjacency_code, digraph_from_code, is_sink_free, sources_not_sinks, vertices_of
-from .exceptions import ParseError, PostconditionViolationError
-from .solvers import (  # looked up by name in check()
-    max_large_quasi_kernel,
-    max_sharp_quasi_kernel,
-    min_quasi_kernel,
+from .digraph import (
+    Digraph,
+    _decimal,
+    adjacency_code,
+    digraph_from_code,
+    is_sink_free,
+    sources_not_sinks,
+    vertices_of,
 )
+from .exceptions import ParseError, PostconditionViolationError
+from .solvers import SolveResult, max_large_quasi_kernel, max_sharp_quasi_kernel, min_quasi_kernel
 
 HARNESS_VERSION = "1"
 
@@ -37,27 +41,30 @@ class _Variant(NamedTuple):
     """A bound: the solver that computes the objective, whether the bound
     caps it from above, and the count alpha multiplies."""
 
-    solver: str
+    solver: Callable[[Digraph], SolveResult]
     minimise: bool
     scale: Callable[[Digraph], int]
 
 
-# small is sources with s = n; sharp is large against the doubled 2n
+# small is sources with s = n; sharp is large against the doubled 2n.  The
+# solver lambdas look the solvers up at call time, so rebinding a module
+# attribute takes effect.
 _VARIANTS = {
-    "small": _Variant("min_quasi_kernel", True, lambda d: d.n),
-    "sources": _Variant("min_quasi_kernel", True, lambda d: sources_not_sinks(d).bit_count()),
-    "large": _Variant("max_large_quasi_kernel", False, lambda d: d.n),
-    "sharp": _Variant("max_sharp_quasi_kernel", False, lambda d: 2 * d.n),
+    "small": _Variant(lambda d: min_quasi_kernel(d), True, lambda d: d.n),
+    "sources": _Variant(lambda d: min_quasi_kernel(d), True,
+                        lambda d: sources_not_sinks(d).bit_count()),
+    "large": _Variant(lambda d: max_large_quasi_kernel(d), False, lambda d: d.n),
+    "sharp": _Variant(lambda d: max_sharp_quasi_kernel(d), False, lambda d: 2 * d.n),
 }
 VARIANTS = tuple(_VARIANTS)
 
 
 def parse_alpha(text: str) -> Fraction:
     """Exact 'P/Q' only; decimals and bare integers are rejected."""
-    parts = text.strip().split("/")
-    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise ParseError(f"alpha must be an exact fraction 'P/Q', got {text!r}")
-    num, den = int(parts[0]), int(parts[1])
+    try:
+        num, den = map(_decimal, text.strip().split("/"))
+    except ValueError:
+        raise ParseError(f"alpha must be an exact fraction 'P/Q', got {text!r}") from None
     if den == 0:
         raise ParseError("alpha denominator must be nonzero")
     alpha = Fraction(num, den)
@@ -122,8 +129,7 @@ def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
         raise ValueError("spec is for sink-free digraphs but the input has a sink")
     solver, minimise, scale = _VARIANTS[spec.variant]
     num, den = spec.alpha.numerator, spec.alpha.denominator
-    # by name at call time, so a rebound module attribute takes effect
-    res = globals()[solver](d)
+    res = solver(d)
     scaled = scale(d)
     if minimise:  # objective <= n - alpha * scale
         limit = den * d.n - num * scaled

@@ -1,5 +1,5 @@
 """Gadgets and blowups that move quasi-kernel bounds between conjecture
-variants, plus the sink-peeling and matching-split transfers.
+variants, plus the matching-split transfer.
 
 The three constructions:
 
@@ -17,9 +17,7 @@ The three constructions:
   copy per dominated block, which doubles-up into the sharp objective: the
   blowup satisfies |N^-(Q')| = |Q| + 3|N^-(Q)| for the projected Q.
 
-``sink_peel`` reduces any digraph to the sink-free case: peel the
-smallest-index sink v, solve on the subdigraph that avoids N^-[v], and add v
-back.  ``matching_split`` decomposes a minimal quasi-kernel for the
+``matching_split`` decomposes a minimal quasi-kernel for the
 with-sources-to-sink-free transfer, and ``qk_via_ii_oracle`` runs that
 transfer end to end against any solver asserted to satisfy the with-sources
 bound.
@@ -39,14 +37,12 @@ from .digraph import (
     induced,
     is_sink_free,
     iter_bits,
-    n_minus_closed,
     n_minus_set,
-    sinks,
     sources_not_sinks,
     vertices_of,
 )
 from .exceptions import OracleContractError, PostconditionViolationError
-from .solvers import SolveResult, is_quasi_kernel, large_score, min_quasi_kernel
+from .solvers import SolveResult, is_quasi_kernel, min_quasi_kernel
 
 
 @dataclass(frozen=True)
@@ -160,30 +156,6 @@ def project_blowup_qk(bmap: BlowupMap, qprime: int) -> int:
     if not is_quasi_kernel(bmap.base, q):
         raise PostconditionViolationError("projection of a quasi-kernel is not one")
     return q
-
-
-def sink_peel(solver: Callable[[Digraph], SolveResult], d: Digraph) -> SolveResult:
-    """Lift a sink-free-only quasi-kernel solver to arbitrary digraphs.
-
-    Take the smallest-index sink v: v belongs to some quasi-kernel, v covers
-    N^-[v], and no arc leaves v, so recursing on the subdigraph induced by
-    V minus N^-[v] and adding v back preserves independence and coverage.
-    The objective is recomputed with ``large_score`` on the original digraph.
-    """
-    sink_mask = sinks(d)
-    if not sink_mask:
-        res = solver(d)
-        if res.witness is None or not is_quasi_kernel(d, res.witness):
-            raise PostconditionViolationError("solver returned a bad witness on the sink-free base")
-        return SolveResult(res.witness, large_score(d, res.witness), True)
-    v = (sink_mask & -sink_mask).bit_length() - 1
-    keep = d.vertex_mask & ~n_minus_closed(d, 1 << v)
-    sub, emb = induced(d, keep)
-    rec = sink_peel(solver, sub)
-    q = expand_set(rec.witness, emb) | (1 << v)
-    if not is_quasi_kernel(d, q):
-        raise PostconditionViolationError("peel reassembly broke the quasi-kernel")
-    return SolveResult(q, large_score(d, q), True)
 
 
 @dataclass(frozen=True)

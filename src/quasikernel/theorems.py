@@ -82,22 +82,13 @@ def extend_to_dominating_kp_set(d: Digraph, p: int, check_pre: bool = True) -> i
     check_set(d, p)
     if check_pre and not is_kernel_perfect(d, p):
         raise ValueError("input set is not kernel-perfect")
+    # a rejected vertex has an arc into the set, which only grows, so it stays
+    # rejected and one ascending pass suffices
     rows = d.rows
     cur = p
-    outside = d.vertex_mask & ~p
-    while True:
-        probe = outside
-        added = False
-        while probe:
-            low = probe & -probe
-            if rows[low.bit_length() - 1] & cur == 0:
-                cur |= low
-                outside ^= low
-                added = True
-                break
-            probe ^= low
-        if not added:
-            break
+    for v in iter_bits(d.vertex_mask & ~p):
+        if rows[v] & cur == 0:
+            cur |= 1 << v
     if n_minus_closed(d, cur) != d.vertex_mask:
         raise PostconditionViolationError("grown set is not dominating")
     if (cur & ~p) & n_minus_set(d, p):

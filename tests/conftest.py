@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from quasikernel import Digraph, enumerate_digraphs, make, parse_family, random_digraph
+from quasikernel import Digraph, enumerate_digraphs
+from quasikernel.generators import make, parse_family, random_digraph
 
 
 def dg(n, arcs):

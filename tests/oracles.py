@@ -272,8 +272,9 @@ def oracle_sources_via_blowup(d, partition):
     construction ``small_qk_with_sources`` must reproduce without building
     the blowup.  The projection and the source bookkeeping are done here.
     """
-    from quasikernel import (Digraph, Partition, large_qk_from_partition,
-                             maximalize_quasi_kernel, weighted_blowup)
+    from quasikernel import Digraph, Partition, large_qk_from_partition
+    from quasikernel.reductions import weighted_blowup
+    from quasikernel.solvers import maximalize_quasi_kernel
 
     adj, rad = adj_of(d), radj_of(d)
     sources = {v for v in range(d.n) if adj[v] and not rad[v]}

@@ -19,37 +19,33 @@ import pytest
 
 from quasikernel import (
     ConjectureSpec,
-    SplitMix64,
-    add_source_gadget,
-    c3_blowup,
     chromatic_number,
     dichromatic_number,
-    disjoint_union,
     enumerate_digraphs,
     find_kernel,
     heavy_independent_set,
-    is_acyclic_set,
-    is_independent,
-    is_quasi_kernel,
-    is_sink_free,
     kernel_perfect_number,
     large_qk_from_partition,
-    make,
     max_sharp_quasi_kernel,
     min_quasi_kernel,
+    qk_via_ii_oracle,
+    quasi_kernel_covering,
+    small_qk_from_partition,
+    sweep,
+)
+from quasikernel.digraph import (
+    disjoint_union,
+    is_acyclic_set,
+    is_independent,
+    is_sink_free,
     n_minus_closed,
     n_minus_set,
     n_plus_set,
     odd_dicycle_free,
-    parse_family,
-    project_blowup_qk,
-    qk_via_ii_oracle,
-    quasi_kernel_covering,
-    quasi_kernels,
-    random_digraph,
-    small_qk_from_partition,
-    sweep,
 )
+from quasikernel.generators import SplitMix64, make, parse_family, random_digraph
+from quasikernel.reductions import add_source_gadget, c3_blowup, project_blowup_qk
+from quasikernel.solvers import is_quasi_kernel, quasi_kernels
 
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)

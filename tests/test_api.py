@@ -1,10 +1,58 @@
+import ast
+import re
+from pathlib import Path
+
 import quasikernel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the entry points README and its library example use, the exceptions the
+# API raises, and Partition, which callers build for the theorems
+PUBLIC = [
+    "BudgetExceededError", "ConjectureSpec", "Digraph", "OracleContractError", "ParseError",
+    "Partition", "PostconditionViolationError", "chromatic_number", "dichromatic_number",
+    "enumerate_digraphs", "find_kernel", "heavy_independent_set", "iter_bits",
+    "kernel_perfect_number", "large_qk_from_partition", "large_score", "mask_of",
+    "max_large_quasi_kernel", "max_sharp_quasi_kernel", "merge_reports", "min_quasi_kernel",
+    "parse", "qk_via_ii_oracle", "quasi_kernel_covering", "sharp_score",
+    "small_qk_from_partition", "small_qk_with_sources", "sweep", "vertices_of",
+]
 
 
 def test_public_names_resolve_once_and_star_import():
     names = quasikernel.__all__
+    assert sorted(names) == PUBLIC
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(quasikernel, n)] == []
     namespace = {}
     exec("from quasikernel import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, other than ``__future__``
+    features and the names it lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - read - exported)
+
+
+def test_every_import_is_read():
+    paths = [*ROOT.glob("src/quasikernel/*.py"), *ROOT.glob("tests/*.py")]
+    unread = {p.relative_to(ROOT).as_posix(): names for p in paths if (names := _unread_imports(p))}
+    assert unread == {}

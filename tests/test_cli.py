@@ -5,17 +5,10 @@ import sys
 
 import pytest
 
-from quasikernel import (
-    digraph_to_json,
-    is_quasi_kernel,
-    kernel_perfect_number,
-    make,
-    mask_of,
-    parse,
-    parse_family,
-    serialize,
-    sources_not_sinks,
-)
+from quasikernel import kernel_perfect_number, mask_of, parse
+from quasikernel.digraph import digraph_to_json, serialize, sources_not_sinks
+from quasikernel.generators import make, parse_family
+from quasikernel.solvers import is_quasi_kernel
 from quasikernel.cli import main
 
 from conftest import dg
@@ -403,6 +396,31 @@ def test_gen_rejects_bad_family(capsys):
     assert code == 1 and err.startswith("qk: error:")
 
 
+C4_TEXT = "4\n0 1\n1 2\n2 3\n3 0\n"
+
+
+# counts, indices and parameters are ASCII digits only: no other script,
+# underscore or sign
+@pytest.mark.parametrize("argv,stdin", [
+    (["gen", "--family", "cycle:٣"], ""),
+    (["gen", "--family", "random:1_0:1/2:1"], ""),
+    (["gen", "--family", "random:3:١/2:1"], ""),
+    (["gen", "--family", "cycle:+3"], ""),
+    (["gen", "--family", "random:5:1/2:-3"], ""),
+    (["sweep", "--n", "٢", "--conjecture", "large", "--alpha", "1/2"], ""),
+    (["sweep", "--n", "+2", "--conjecture", "large", "--alpha", "1/2"], ""),
+    (["sweep", "--n", "2", "--conjecture", "large", "--alpha", "1/2", "--shards", "1_0"], ""),
+    (["sweep", "--n", "2", "--conjecture", "large", "--alpha", "1/2", "--shard", "٠"], ""),
+    (["solve", "--alg", "covering", "--set", "٠"], C4_TEXT),
+    (["solve", "--alg", "covering", "--set", "0,+1"], C4_TEXT),
+    (["solve", "--alg", "min"], "٣\n"),
+    (["solve", "--alg", "min"], "3\n1 ٢\n"),
+])
+def test_non_ascii_or_signed_integers_are_errors(capsys, monkeypatch, argv, stdin):
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "") and err.startswith("qk: error:")
+
+
 def test_gen_into_solve_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, ["gen", "--family", "circulant:5"])
     assert code == 0
@@ -447,8 +465,8 @@ def test_reduce_wblowup(capsys, c3_file):
     assert json.loads(out)["digraph"]["n"] == 6
 
 
-@pytest.mark.parametrize("kind", ["gadget", "gadget:0", "gadget:x",
-                                  "wblowup:-3", "c3blowup:5", "shrink:2"])
+@pytest.mark.parametrize("kind", ["gadget", "gadget:0", "gadget:x", "gadget:١",
+                                  "wblowup:-3", "wblowup:+2", "c3blowup:5", "shrink:2"])
 def test_reduce_rejects_bad_kind(capsys, c3_file, kind):
     code, _, err = run(capsys, ["reduce", "--kind", kind, "--input", c3_file])
     assert code == 1 and err.startswith("qk: error:")

@@ -2,39 +2,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasikernel import (
+    BudgetExceededError,
     Digraph,
     ParseError,
     Partition,
-    BudgetExceededError,
+    enumerate_digraphs,
+    mask_of,
+    parse,
+    vertices_of,
+)
+from quasikernel.digraph import (
     adjacency_code,
     canonical_form,
     check_partition,
+    compress_set,
     digraph_from_code,
     digraph_from_json,
     digraph_to_json,
+    disjoint_union,
     dumps_json,
-    enumerate_digraphs,
+    expand_set,
+    induced,
     is_acyclic_set,
     is_independent,
     is_sink_free,
     loads_json,
-    mask_of,
     n_minus_closed,
     n_minus_minus_closed,
     n_minus_set,
     n_plus_set,
     odd_dicycle_free,
-    parse,
     serialize,
     sinks,
     sources_not_sinks,
-    vertices_of,
-)
-from quasikernel.digraph import (
-    compress_set,
-    disjoint_union,
-    expand_set,
-    induced,
 )
 
 import oracles
@@ -314,6 +314,12 @@ MALFORMED = {
     "2\n1 1\n": "self-loop at vertex 1",
     "2\n0 1\n0 1\n": "duplicate arc (0, 1)",
     "64\n": "vertex count must be in 0..63, got 64",
+    # counts and indices are ASCII digits only
+    "٣\n": "malformed header '٣': expected a vertex count",
+    "+2\n": "malformed header '+2': expected a vertex count",
+    "1_0\n": "malformed header '1_0': expected a vertex count",
+    "3\n1 ٢\n": "malformed arc line '1 ٢': expected two integers",
+    "3\n0 -1\n": "malformed arc line '0 -1': expected two integers",
 }
 
 

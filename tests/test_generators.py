@@ -3,13 +3,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quasikernel import Digraph, FamilySpec, ParseError, SplitMix64, make, parse_family
+from quasikernel import Digraph, ParseError
 from quasikernel.digraph import disjoint_union
 from quasikernel.generators import (
+    FamilySpec,
+    SplitMix64,
     c3_power,
     circulant_tournament,
     cycle,
     edgeless,
+    make,
+    parse_family,
     path,
     random_digraph,
     random_tournament,
@@ -156,19 +160,18 @@ def test_random_tournament_is_a_tournament(seed):
     ("cycle:5", "cycle", 5),
     ("path:2", "path", 2),
     ("edgeless:3", "edgeless", 3),
-    ("circulant:7", "circulant_tournament", 7),
+    ("circulant:7", "circulant", 7),
 ])
 def test_parse_simple_families(expr, kind, n):
-    spec = parse_family(expr)
-    assert spec.kind == kind and spec.n == n
+    assert parse_family(expr) == FamilySpec(kind, (n,))
 
 
 def test_parse_power_and_random():
-    assert parse_family("c3pow:2") == FamilySpec("c3_power", power=2)
+    assert parse_family("c3pow:2") == FamilySpec("c3pow", (2,))
     spec = parse_family("random:6:1/3:42")
-    assert spec == FamilySpec("random", n=6, probability=Fraction(1, 3), seed=42)
+    assert spec == FamilySpec("random", (6, Fraction(1, 3), 42))
     spec = parse_family("random_tournament:5:7")
-    assert spec == FamilySpec("random_tournament", n=5, seed=7)
+    assert spec == FamilySpec("random_tournament", (5, 7))
 
 
 def test_parse_union_and_make():
@@ -191,6 +194,14 @@ def test_parse_union_and_make():
     "union:",
     "union:union:cycle:3",
     "c3pow:x",
+    # parameters are ASCII digits only: no other script, underscore or sign
+    "cycle:٣",
+    "random:1_0:1/2:1",
+    "random:3:١/2:1",
+    "cycle:+3",
+    "cycle: 3",
+    "random:5:1/2:-3",
+    "random:5:1/2/3:1",
 ])
 def test_parse_rejects(expr):
     with pytest.raises(ParseError):
@@ -200,6 +211,8 @@ def test_parse_rejects(expr):
 def test_make_rejects_incomplete_specs():
     with pytest.raises(ValueError):
         make(FamilySpec("cycle"))
+    with pytest.raises(ValueError):
+        make(FamilySpec("random", (5, Fraction(1, 2))))
     with pytest.raises(ValueError):
         make(FamilySpec("mystery"))
 

@@ -4,20 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quasikernel import (
-    ConjectureSpec,
-    Digraph,
-    ParseError,
-    adjacency_code,
-    check,
-    make,
-    merge_reports,
-    parse_alpha,
-    parse_family,
-    report_to_csv,
-    slack,
-    sweep,
-)
+from quasikernel import ConjectureSpec, Digraph, ParseError, merge_reports, sweep
+from quasikernel.digraph import adjacency_code
+from quasikernel.generators import make, parse_family
+from quasikernel.harness import check, parse_alpha, report_to_csv, slack
 
 from conftest import all_digraphs, dg, mask_to_set
 from oracles import oracle_max_large, oracle_max_sharp, oracle_min_qk

@@ -6,29 +6,23 @@ from hypothesis import given, settings, strategies as st
 from quasikernel import (
     Digraph,
     OracleContractError,
-    PostconditionViolationError,
+    mask_of,
+    min_quasi_kernel,
+    qk_via_ii_oracle,
+)
+from quasikernel.digraph import is_sink_free, n_minus_set
+from quasikernel.reductions import (
     add_source_gadget,
     c3_blowup,
-    digraph_from_code,
-    is_quasi_kernel,
-    is_sink_free,
-    mask_of,
     matching_split,
-    max_large_quasi_kernel,
-    min_quasi_kernel,
-    n_minus_set,
     project_blowup_qk,
-    qk_via_ii_oracle,
-    quasi_kernels,
-    sink_peel,
     weighted_blowup,
 )
-from quasikernel.solvers import SolveResult, large_score
+from quasikernel.solvers import SolveResult, is_quasi_kernel, quasi_kernels
 
 from conftest import all_digraphs, dg
 
 
-n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
 sink_free_4_index = st.integers(min_value=0, max_value=7 ** 4 - 1)
 
 
@@ -143,44 +137,6 @@ def test_c3_coverage_identity_spot():
         assert lhs == rhs
         seen += 1
     assert seen > 0
-
-
-# ---------------------------------------------------------------------------
-# sink peeling
-
-
-def test_sink_peel_on_sink_free_is_passthrough(c4):
-    res = sink_peel(max_large_quasi_kernel, c4)
-    assert res.witness == max_large_quasi_kernel(c4).witness
-
-
-def test_sink_peel_handles_sinks():
-    d = dg(3, [(0, 1), (1, 2)])  # 2 is a sink
-    res = sink_peel(max_large_quasi_kernel, d)
-    assert res.witness == mask_of([0, 2])
-    assert is_quasi_kernel(d, res.witness)
-    assert res.objective == large_score(d, res.witness) == 3
-
-
-@given(n4_codes)
-@settings(max_examples=80)
-def test_sink_peel_postconditions(code):
-    d = digraph_from_code(4, code)
-    res = sink_peel(min_quasi_kernel, d)
-    assert is_quasi_kernel(d, res.witness)
-    # every sink must end up in the witness: no arc leaves a sink
-    for v in range(4):
-        if d.rows[v] == 0:
-            assert res.witness >> v & 1
-    assert res.verified
-
-
-def test_sink_peel_propagates_bad_solver(c4):
-    def liar(d):
-        return SolveResult(None, 0, True)
-
-    with pytest.raises(PostconditionViolationError):
-        sink_peel(liar, c4)
 
 
 # ---------------------------------------------------------------------------

@@ -12,20 +12,12 @@ from quasikernel import (
     dichromatic_number,
     find_kernel,
     heavy_independent_set,
-    is_kernel,
-    is_kernel_perfect,
-    is_quasi_kernel,
     kernel_perfect_number,
     large_score,
     mask_of,
     max_large_quasi_kernel,
     max_sharp_quasi_kernel,
-    maximalize_quasi_kernel,
     min_quasi_kernel,
-    n_minus_set,
-    n_plus_set,
-    odd_dicycle_free,
-    quasi_kernels,
     sharp_score,
     vertices_of,
 )
@@ -35,6 +27,9 @@ from quasikernel.digraph import (
     induced,
     is_acyclic_set,
     is_independent,
+    n_minus_set,
+    n_plus_set,
+    odd_dicycle_free,
 )
 from quasikernel.generators import make, parse_family
 from quasikernel.solvers import (
@@ -47,6 +42,11 @@ from quasikernel.solvers import (
     _maximal_independent_sets,
     _partition_number,
     check_set,
+    is_kernel,
+    is_kernel_perfect,
+    is_quasi_kernel,
+    maximalize_quasi_kernel,
+    quasi_kernels,
 )
 
 import oracles

@@ -5,25 +5,24 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quasikernel import (
     Partition,
-    SmallQkTrace,
-    extend_to_dominating_kp_set,
-    is_kernel_perfect,
-    is_quasi_kernel,
+    enumerate_digraphs,
     kernel_perfect_number,
     large_qk_from_partition,
-    make,
     mask_of,
-    n_minus_closed,
-    n_minus_set,
-    parse_family,
     quasi_kernel_covering,
     small_qk_from_partition,
     small_qk_with_sources,
-    sources_not_sinks,
     vertices_of,
 )
-from quasikernel.digraph import digraph_from_code, enumerate_digraphs
-from quasikernel.solvers import _independent_extends, _min_partition_rgs
+from quasikernel.digraph import digraph_from_code, n_minus_closed, n_minus_set, sources_not_sinks
+from quasikernel.generators import make, parse_family
+from quasikernel.solvers import (
+    _independent_extends,
+    _min_partition_rgs,
+    is_kernel_perfect,
+    is_quasi_kernel,
+)
+from quasikernel.theorems import SmallQkTrace, extend_to_dominating_kp_set
 
 from conftest import all_digraphs, dg, seeded_digraphs
 from oracles import oracle_sources_via_blowup
