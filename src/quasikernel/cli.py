@@ -232,6 +232,14 @@ def _positive_int(token: str, kind: str) -> int:
     return value
 
 
+def _count(token: str) -> int:
+    """argparse type for a count or index, with ``_decimal``'s message."""
+    try:
+        return _decimal(token)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qk", description="quasi-kernel solvers and conjecture sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,13 +261,13 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep", help="check a bound over all digraphs of a given order")
-    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--conjecture", choices=harness.VARIANTS, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--sink-free", action="store_true")
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--shards", type=_decimal, default=1)
-    p.add_argument("--shard", type=_decimal, default=0)
+    p.add_argument("--shards", type=_count, default=1)
+    p.add_argument("--shard", type=_count, default=0)
     p.add_argument("--records", action="store_true", help="keep one record per digraph")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_sweep)

@@ -3,10 +3,11 @@
 Everything downstream (solvers, constructive pipelines, the sweep harness) is
 a pure function over two value types defined here:
 
-* ``Digraph``  -- a loop-free simple digraph on at most 63 vertices, stored as
-  one out-adjacency bit row per vertex: bit ``j`` of ``rows[i]`` is set iff
-  the arc ``i -> j`` exists.  Antiparallel pairs (directed 2-cycles) are
-  allowed; parallel arcs and self-loops are not.
+* ``Digraph``  -- a loop-free simple digraph on at most 63 vertices, built
+  from its out-rows, one bit row per vertex: bit ``j`` of ``rows[i]`` is set
+  iff the arc ``i -> j`` exists, and the order ``n`` is ``len(rows)``.
+  Antiparallel pairs (directed 2-cycles) are allowed; parallel arcs and
+  self-loops are not.
 * vertex sets -- plain ``int`` bit masks over ``0 .. n-1``.
 
 Distance is shortest directed path length.  Set neighbourhoods are the
@@ -92,24 +93,28 @@ def compress_set(mask: int, embedding: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Loop-free digraph on ``n <= 63`` vertices with bit-row adjacency."""
+    """Loop-free digraph with bit-row adjacency, built from its out-rows;
+    its order ``n`` is ``len(rows)``, at most 63."""
 
-    n: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(rows)}")
-        full = (1 << self.n) - 1
+        n = len(rows)
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        full = (1 << n) - 1
         for v, row in enumerate(rows):
             if row & ~full:
-                raise ValueError(f"row {v} has bits outside 0..{self.n - 1}")
+                raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+
+    @property
+    def n(self) -> int:
+        """The vertex count, ``len(rows)``."""
+        return len(self.rows)
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
@@ -124,7 +129,7 @@ class Digraph:
             if rows[u] >> v & 1:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             rows[u] |= 1 << v
-        return cls(n, tuple(rows))
+        return cls(rows)
 
     @cached_property
     def in_rows(self) -> tuple[int, ...]:
@@ -287,7 +292,7 @@ def induced(d: Digraph, s: int) -> tuple[Digraph, tuple[int, ...]]:
             if row >> other & 1:
                 new_row |= 1 << j
         sub_rows.append(new_row)
-    return Digraph(len(emb), tuple(sub_rows)), emb
+    return Digraph(sub_rows), emb
 
 
 def disjoint_union(d1: Digraph, d2: Digraph) -> Digraph:
@@ -295,7 +300,7 @@ def disjoint_union(d1: Digraph, d2: Digraph) -> Digraph:
     if d1.n + d2.n > MAX_VERTICES:
         raise ValueError(f"union on {d1.n + d2.n} vertices exceeds {MAX_VERTICES}")
     rows = d1.rows + tuple(r << d1.n for r in d2.rows)
-    return Digraph(d1.n + d2.n, rows)
+    return Digraph(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +379,7 @@ def digraph_from_code(n: int, code: int) -> Digraph:
         raise ValueError(f"adjacency code out of range for n={n}")
     w = n - 1
     m = (1 << w) - 1 if n else 0
-    rows = tuple(_row_from_chunk(u, (code >> (u * w)) & m) for u in range(n))
-    return Digraph(n, rows)
+    return Digraph(tuple(_row_from_chunk(u, (code >> (u * w)) & m) for u in range(n)))
 
 
 def canonical_form(d: Digraph) -> int:
@@ -416,7 +420,7 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
     first = 1 if sink_free else 0  # a sink-free row has at least one arc
     tables = [tuple(_row_from_chunk(u, c) for c in range(first, 1 << (n - 1))) for u in reversed(range(n))]
     for rows in itertools.product(*tables):
-        d = Digraph(n, rows[::-1])
+        d = Digraph(rows[::-1])
         if not canonical or adjacency_code(d) == canonical_form(d):
             yield d
 

@@ -51,7 +51,7 @@ def path(n: int) -> Digraph:
 def edgeless(n: int) -> Digraph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"edgeless needs n in 0..{MAX_VERTICES}, got {n}")
-    return Digraph(n, (0,) * n)
+    return Digraph((0,) * n)
 
 
 def circulant_tournament(n: int) -> Digraph:
@@ -74,7 +74,7 @@ def c3_power(k: int) -> Digraph:
     """
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    d = Digraph(1, (0,))
+    d = Digraph((0,))
     for _ in range(k):
         d, _ = c3_blowup(d)
     return d
@@ -97,7 +97,7 @@ def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
                 continue
             if rng.next_word() * q < threshold_num:
                 rows[u] |= 1 << v
-    return Digraph(n, tuple(rows))
+    return Digraph(rows)
 
 
 def random_tournament(n: int, seed: int) -> Digraph:
@@ -112,7 +112,7 @@ def random_tournament(n: int, seed: int) -> Digraph:
                 rows[u] |= 1 << v
             else:
                 rows[v] |= 1 << u
-    return Digraph(n, tuple(rows))
+    return Digraph(rows)
 
 
 # grammar head -> (parameter kinds, builder).  The builders look the module
@@ -164,7 +164,7 @@ def make(spec: FamilySpec) -> Digraph:
 
 def union_family(specs) -> Digraph:
     """Disjoint union of the family members, in order; empty gives n=0."""
-    d = Digraph(0, ())
+    d = Digraph(())
     for spec in specs:
         d = disjoint_union(d, make(spec))
     return d

@@ -84,7 +84,7 @@ def add_source_gadget(d: Digraph, c: int) -> tuple[Digraph, BlowupMap]:
             rows.append(1 << v)
             block |= 1 << (n + v * c + j)
         blocks.append(block)
-    blown = Digraph(total, tuple(rows))
+    blown = Digraph(rows)
     return blown, BlowupMap("source-gadget", d, blown, tuple(blocks))
 
 
@@ -113,7 +113,7 @@ def weighted_blowup(d: Digraph, multiplicities) -> tuple[Digraph, BlowupMap]:
         for w in iter_bits(d.rows[v]):
             row |= blocks[w]
         rows.extend([row] * mult[v])
-    blown = Digraph(total, tuple(rows))
+    blown = Digraph(rows)
     return blown, BlowupMap("weighted", d, blown, tuple(blocks))
 
 
@@ -133,7 +133,7 @@ def c3_blowup(d: Digraph) -> tuple[Digraph, BlowupMap]:
         rows.append(out | (1 << (base + 1)))
         rows.append(out | (1 << (base + 2)))
         rows.append(out | (1 << base))
-    blown = Digraph(total, tuple(rows))
+    blown = Digraph(rows)
     return blown, BlowupMap("c3", d, blown, blocks)
 
 

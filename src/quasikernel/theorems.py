@@ -283,7 +283,7 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
     for v in iter_bits(source_mask):
         row = pruned_rows[v]
         pruned_rows[v] = row & -row
-    d0 = Digraph(n, tuple(pruned_rows))
+    d0 = Digraph(pruned_rows)
 
     core, emb = induced(d0, core_mask)
     weights = [(k * t + 1) * (d0.in_rows[a] & source_mask).bit_count() + 1 for a in emb]

@@ -1,8 +1,11 @@
 import ast
+import io
 import re
+import shlex
 from pathlib import Path
 
 import quasikernel
+from quasikernel.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +36,36 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(blocks[0], {})
+
+
+def _readme_cli_examples() -> list[tuple[list[list[str]], list[str]]]:
+    """Each ``qk`` line of README's shell block as (argv of each pipeline
+    stage, the ``# `` lines that follow it, which are its stdout)."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    [block] = [b for b in blocks if b.startswith("qk ")]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("qk "):
+            command = re.sub(r"\s+#.*$", "", line).removeprefix("qk ")
+            examples.append(([shlex.split(stage) for stage in command.split("| qk ")], []))
+        elif line.startswith("# "):
+            examples[-1][1].append(line.removeprefix("# "))
+    return examples
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch):
+    examples = _readme_cli_examples()
+    assert len(examples) == 8
+    assert sum(1 for _, shown in examples if shown) == 3
+    for stages, shown in examples:
+        out = None
+        for argv in stages:
+            if out is not None:
+                monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+        if shown:
+            assert out == "".join(f"{line}\n" for line in shown), stages
 
 
 def _unread_imports(path: Path) -> list[str]:

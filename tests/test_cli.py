@@ -381,6 +381,19 @@ def test_sweep_rejects_bad_shard(capsys):
     assert code == 1 and err.startswith("qk: error:")
 
 
+@pytest.mark.parametrize("flag,extra", [
+    ("--n", []),
+    ("--shards", ["--n", "2"]),
+    ("--shard", ["--n", "2"]),
+])
+def test_sweep_rejects_non_decimal_counts(capsys, flag, extra):
+    code, out, err = run(capsys, ["sweep", *extra, flag, "x", "--conjecture", "large",
+                                  "--alpha", "1/2"])
+    assert code == 1 and out == ""
+    assert err == f"qk: error: argument {flag}: 'x' is not a decimal integer\n"
+    assert "_decimal" not in err
+
+
 # ---------------------------------------------------------------------------
 # gen / kp / reduce
 

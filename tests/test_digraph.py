@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -54,20 +56,29 @@ digraphs = st.integers(min_value=0, max_value=5).flatmap(
 
 
 def test_rows_are_coerced_to_tuple():
-    d = Digraph(2, [0b10, 0b01])
+    d = Digraph([0b10, 0b01])
     assert isinstance(d.rows, tuple)
 
 
-@pytest.mark.parametrize("n,rows", [
-    (-1, ()),
-    (64, tuple([0] * 64)),
-    (2, (0b100, 0)),   # head out of range
-    (2, (0b01, 0)),    # self-loop at 0
-    (2, (0,)),         # row count mismatch
+def test_a_digraph_is_its_rows():
+    assert [f.name for f in dataclasses.fields(Digraph)] == ["rows"]
+    for rows in [(), (0,), (0b10, 0b01), (0b110, 0, 0b001)]:
+        assert Digraph(rows).n == len(rows)
+    assert Digraph([0b10, 0]) == Digraph((0b10, 0)) != Digraph((0b10, 0, 0))
+    with pytest.raises(AttributeError):
+        Digraph(()).n = 1
+
+
+# The ids are the names these cases had when the order was a separate argument.
+@pytest.mark.parametrize("rows,message", [
+    pytest.param((0,) * 64, "vertex count must be in 0..63, got 64", id="64-rows1"),
+    pytest.param((0b100, 0), "row 0 has bits outside 0..1", id="2-rows2"),
+    pytest.param((0b01, 0), "self-loop at vertex 0", id="2-rows3"),
 ])
-def test_bad_digraphs_rejected(n, rows):
-    with pytest.raises(ValueError):
-        Digraph(n, rows)
+def test_bad_digraphs_rejected(rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        Digraph(rows)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("n,arcs", [
@@ -174,6 +185,7 @@ def test_induced_relabels_in_order():
 def test_induced_expand_compress_roundtrip(d, raw):
     s = raw & d.vertex_mask
     sub, emb = induced(d, s)
+    assert sub.n == len(emb) == s.bit_count()
     assert expand_set(sub.vertex_mask, emb) == s
     assert compress_set(s, emb) == sub.vertex_mask
     for u, v in sub.arcs():
@@ -190,6 +202,13 @@ def test_disjoint_union_shifts_second():
     b = dg(2, [(1, 0)])
     u = disjoint_union(a, b)
     assert list(u.arcs()) == [(0, 1), (3, 2)]
+
+
+@given(digraphs, digraphs)
+def test_disjoint_union_order_and_arcs(a, b):
+    u = disjoint_union(a, b)
+    assert u.n == a.n + b.n
+    assert list(u.arcs()) == [*a.arcs(), *((x + a.n, y + a.n) for x, y in b.arcs())]
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +247,8 @@ def test_odd_dicycle_free_matches_oracle_n6_to_n8(d):
 
 @given(digraphs)
 def test_adjacency_code_roundtrip(d):
-    assert digraph_from_code(d.n, adjacency_code(d)) == d
+    back = digraph_from_code(d.n, adjacency_code(d))
+    assert back == d and back.n == d.n
 
 
 def test_code_rejects_out_of_range():
@@ -239,10 +259,13 @@ def test_code_rejects_out_of_range():
 @pytest.mark.parametrize("n", range(5))
 def test_enumeration_is_in_code_order_and_complete(n):
     every = [digraph_from_code(n, c) for c in range(1 << (n * (n - 1)))]
-    assert list(enumerate_digraphs(n)) == every
-    assert list(enumerate_digraphs(n, sink_free=True)) == [d for d in every if is_sink_free(d)]
-    assert list(enumerate_digraphs(n, canonical=True)) == [
-        d for d in every if adjacency_code(d) == canonical_form(d)]
+    labeled = list(enumerate_digraphs(n))
+    sink_free = list(enumerate_digraphs(n, sink_free=True))
+    canonical = list(enumerate_digraphs(n, canonical=True))
+    assert labeled == every
+    assert sink_free == [d for d in every if is_sink_free(d)]
+    assert canonical == [d for d in every if adjacency_code(d) == canonical_form(d)]
+    assert all(d.n == n for d in every + labeled + sink_free + canonical)
 
 
 @pytest.mark.parametrize("n,total,sink_free_total", [
@@ -271,7 +294,7 @@ def test_enumeration_budgets():
     with pytest.raises(BudgetExceededError):
         next(enumerate_digraphs(7, canonical=True))
     with pytest.raises(BudgetExceededError):
-        canonical_form(Digraph(9, tuple([0] * 9)))
+        canonical_form(Digraph((0,) * 9))
 
 
 @given(digraphs, st.randoms(use_true_random=False))

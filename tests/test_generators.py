@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from quasikernel import Digraph, ParseError
 from quasikernel.digraph import disjoint_union
 from quasikernel.generators import (
+    FAMILIES,
     FamilySpec,
     SplitMix64,
     c3_power,
@@ -91,6 +92,28 @@ def test_c3_power_sizes_and_recursion():
     assert c3_power(2) == two
     with pytest.raises(ValueError):
         c3_power(-1)
+
+
+FAMILY_ORDERS = [
+    ("cycle:4", 4), ("path:3", 3), ("edgeless:0", 0), ("edgeless:5", 5), ("circulant:7", 7),
+    ("c3pow:0", 1), ("c3pow:1", 3), ("c3pow:3", 27),
+    ("random:6:1/3:42", 6), ("random:9:1/2:1", 9), ("random_tournament:5:7", 5),
+    ("union:cycle:2,edgeless:3,c3pow:1", 8), ("union:path:1", 1),
+]
+
+
+@pytest.mark.parametrize("expr,order", FAMILY_ORDERS)
+def test_every_family_gives_its_stated_order(expr, order):
+    spec = parse_family(expr)
+    assert make(spec).n == order
+    if spec.kind == "union":
+        assert order == sum(make(m).n for m in spec.members)
+    if spec.kind == "c3pow":
+        assert order == 3 ** spec.args[0]
+
+
+def test_family_order_cases_cover_every_head():
+    assert {parse_family(expr).kind for expr, _ in FAMILY_ORDERS} == set(FAMILIES)
 
 
 @pytest.mark.parametrize("expr", [
@@ -218,4 +241,4 @@ def test_make_rejects_incomplete_specs():
 
 
 def test_union_family_empty_is_trivial():
-    assert union_family(()) == Digraph(0, ())
+    assert union_family(()) == Digraph(())

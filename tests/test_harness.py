@@ -137,7 +137,7 @@ def test_slack_signs(c3, c4):
     assert not rec.passed
     assert slack(rec, failing) < 0
 
-    rec = check(Digraph(0, ()), ConjectureSpec("sources", HALF))
+    rec = check(Digraph(()), ConjectureSpec("sources", HALF))
     assert slack(rec, ConjectureSpec("sources", HALF)) is None
 
 
@@ -182,7 +182,7 @@ def test_sweep_shard_validation():
 def test_sweep_empty_and_trivial_corpus():
     rep = sweep([], SMALL_HALF, "c")
     assert rep.count == 0 and rep.min_slack is None and rep.extremal == ()
-    rep = sweep([Digraph(0, ())], SMALL_HALF, "c")
+    rep = sweep([Digraph(())], SMALL_HALF, "c")
     assert rep.count == 1 and rep.failures == () and rep.min_slack is None
 
 

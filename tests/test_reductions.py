@@ -49,7 +49,7 @@ def test_gadget_rejects():
     with pytest.raises(ValueError):
         add_source_gadget(dg(2, []), 0)
     with pytest.raises(ValueError):
-        add_source_gadget(Digraph(32, (0,) * 32), 1)
+        add_source_gadget(Digraph((0,) * 32), 1)
 
 
 def test_gadget_projection_is_refused(c3):
@@ -122,7 +122,17 @@ def test_c3_blowup_always_sink_free():
 
 def test_c3_blowup_cap():
     with pytest.raises(ValueError):
-        c3_blowup(Digraph(22, (0,) * 22))
+        c3_blowup(Digraph((0,) * 22))
+
+
+def test_blowup_orders():
+    for n in range(4):
+        for d in all_digraphs(n):
+            mult = tuple(range(1, n + 1))
+            assert weighted_blowup(d, mult)[0].n == sum(mult)
+            assert c3_blowup(d)[0].n == 3 * n
+            for c in (1, 2):
+                assert add_source_gadget(d, c)[0].n == n * (c + 1)
 
 
 def test_c3_coverage_identity_spot():

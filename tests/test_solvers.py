@@ -124,9 +124,9 @@ def test_first_kernel_and_heavy_match_oracles_n6_to_n9(d):
 
 
 def test_find_kernel_budget():
-    assert find_kernel(Digraph(32, tuple([0] * 32))) == SolveResult((1 << 32) - 1, 32, True)
+    assert find_kernel(Digraph((0,) * 32)) == SolveResult((1 << 32) - 1, 32, True)
     with pytest.raises(BudgetExceededError, match="n <= 32"):
-        find_kernel(Digraph(33, tuple([0] * 33)))
+        find_kernel(Digraph((0,) * 33))
 
 
 def test_every_tournament_without_kernel_has_one_loser():
@@ -245,7 +245,7 @@ def test_max_witness_is_first_optimum(d):
 
 
 def test_max_quasi_kernels_on_the_empty_digraph():
-    d = Digraph(0, ())
+    d = Digraph(())
     assert list(_maximal_independent_sets(d)) == [(0, 0, 0)]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
@@ -257,7 +257,7 @@ def test_max_quasi_kernel_budget():
     first = mask_of(range(0, 30, 3))
     assert max_large_quasi_kernel(triangles) == SolveResult(first, 20, True)
     assert max_sharp_quasi_kernel(triangles) == SolveResult(first, 30, True)
-    big = Digraph(33, tuple([0] * 33))
+    big = Digraph((0,) * 33)
     for solver, _ in MAX_QK:
         with pytest.raises(BudgetExceededError, match="n <= 32"):
             solver(big)
@@ -298,7 +298,7 @@ def test_quasi_kernels_enumerates_exactly():
 
 def test_quasi_kernels_budget():
     with pytest.raises(BudgetExceededError):
-        next(quasi_kernels(Digraph(21, tuple([0] * 21))))
+        next(quasi_kernels(Digraph((0,) * 21)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_is_kernel_perfect_on_high_labels():
 
 
 def test_is_kernel_perfect_budget():
-    d = Digraph(17, tuple([0] * 17))
+    d = Digraph((0,) * 17)
     with pytest.raises(BudgetExceededError):
         is_kernel_perfect(d, d.vertex_mask)
 
@@ -375,7 +375,7 @@ def test_kernel_perfect_number_matches_oracle(code):
 
 
 def test_partition_budgets():
-    big = Digraph(13, tuple([0] * 13))
+    big = Digraph((0,) * 13)
     for fn in (kernel_perfect_number, chromatic_number, dichromatic_number):
         with pytest.raises(BudgetExceededError):
             fn(big)
@@ -506,7 +506,7 @@ def test_number_chain_small(code):
 
 
 def test_empty_digraph_numbers():
-    d = Digraph(0, ())
+    d = Digraph(())
     k, part = kernel_perfect_number(d)
     assert k == 0 and part.parts == ()
     assert chromatic_number(d) == 0
@@ -577,6 +577,6 @@ def test_mis_neighbourhoods_are_rechecked(monkeypatch):
 
 
 def test_heavy_budget():
-    assert heavy_independent_set(Digraph(21, tuple([0] * 21))) == (1 << 21) - 1
+    assert heavy_independent_set(Digraph((0,) * 21)) == (1 << 21) - 1
     with pytest.raises(BudgetExceededError, match="n <= 32"):
-        heavy_independent_set(Digraph(33, tuple([0] * 33)))
+        heavy_independent_set(Digraph((0,) * 33))
