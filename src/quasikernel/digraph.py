@@ -49,12 +49,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Ascending tuple of the vertex indices in a mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -63,6 +58,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_union(rows, mask: int) -> int:
+    """OR of ``rows[v]`` over the vertices v of a mask."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def expand_set(mask: int, embedding: tuple[int, ...]) -> int:
@@ -91,6 +96,12 @@ def compress_set(mask: int, embedding: tuple[int, ...]) -> int:
     return out
 
 
+def check_order(n: int) -> None:
+    """Reject vertex counts outside 0..MAX_VERTICES."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Loop-free digraph with bit-row adjacency, built from its out-rows;
@@ -102,8 +113,7 @@ class Digraph:
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        check_order(n)
         full = (1 << n) - 1
         for v, row in enumerate(rows):
             if row & ~full:
@@ -118,8 +128,7 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        check_order(n)
         rows = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -169,45 +178,25 @@ def check_set(d: Digraph, mask: int) -> None:
 def n_plus_set(d: Digraph, s: int) -> int:
     """Vertices at directed distance exactly 1 from S (excludes S itself)."""
     check_set(d, s)
-    rows = d.rows
-    acc = 0
-    m = s
-    while m:
-        low = m & -m
-        acc |= rows[low.bit_length() - 1]
-        m ^= low
-    return acc & ~s
+    return _row_union(d.rows, s) & ~s
 
 
 def n_minus_set(d: Digraph, s: int) -> int:
     """Vertices at directed distance exactly 1 to S (excludes S itself)."""
     check_set(d, s)
-    in_rows = d.in_rows
-    acc = 0
-    m = s
-    while m:
-        low = m & -m
-        acc |= in_rows[low.bit_length() - 1]
-        m ^= low
-    return acc & ~s
+    return _row_union(d.in_rows, s) & ~s
 
 
 def n_minus_closed(d: Digraph, s: int) -> int:
     """S together with every vertex at distance 1 to S."""
     check_set(d, s)
-    in_rows = d.in_rows
-    acc = s
-    m = s
-    while m:
-        low = m & -m
-        acc |= in_rows[low.bit_length() - 1]
-        m ^= low
-    return acc
+    return s | _row_union(d.in_rows, s)
 
 
 def n_minus_minus_closed(d: Digraph, s: int) -> int:
     """Every vertex within directed distance 2 to S."""
-    return n_minus_closed(d, n_minus_closed(d, s))
+    once = n_minus_closed(d, s)
+    return once | _row_union(d.in_rows, once)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +206,7 @@ def n_minus_minus_closed(d: Digraph, s: int) -> int:
 def is_independent(d: Digraph, s: int) -> bool:
     """No arc joins two members of S (in either direction)."""
     check_set(d, s)
-    rows = d.rows
-    m = s
-    while m:
-        low = m & -m
-        if rows[low.bit_length() - 1] & s:
-            return False
-        m ^= low
-    return True
+    return not _row_union(d.rows, s) & s
 
 
 def is_acyclic_set(d: Digraph, s: int) -> bool:
@@ -297,8 +279,7 @@ def induced(d: Digraph, s: int) -> tuple[Digraph, tuple[int, ...]]:
 
 def disjoint_union(d1: Digraph, d2: Digraph) -> Digraph:
     """Disjoint union; the second digraph's vertices are shifted by d1.n."""
-    if d1.n + d2.n > MAX_VERTICES:
-        raise ValueError(f"union on {d1.n + d2.n} vertices exceeds {MAX_VERTICES}")
+    check_order(d1.n + d2.n)
     rows = d1.rows + tuple(r << d1.n for r in d2.rows)
     return Digraph(rows)
 
@@ -375,7 +356,8 @@ def adjacency_code(d: Digraph) -> int:
 
 def digraph_from_code(n: int, code: int) -> Digraph:
     """Inverse of adjacency_code."""
-    if n < 0 or code < 0 or code >> (n * (n - 1) if n else 0):
+    check_order(n)
+    if code < 0 or code >> (n * (n - 1)):
         raise ValueError(f"adjacency code out of range for n={n}")
     w = n - 1
     m = (1 << w) - 1 if n else 0

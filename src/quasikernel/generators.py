@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import MAX_VERTICES, Digraph, _decimal, disjoint_union
+from .digraph import Digraph, _decimal, check_order, disjoint_union
 from .exceptions import ParseError
 from .reductions import c3_blowup
 
@@ -49,8 +49,7 @@ def path(n: int) -> Digraph:
 
 
 def edgeless(n: int) -> Digraph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"edgeless needs n in 0..{MAX_VERTICES}, got {n}")
+    check_order(n)
     return Digraph((0,) * n)
 
 
@@ -82,8 +81,7 @@ def c3_power(k: int) -> Digraph:
 
 def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
     """Each of the n(n-1) possible arcs independently with exact probability p."""
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"random digraph needs n in 0..{MAX_VERTICES}, got {n}")
+    check_order(n)
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"arc probability must be in [0, 1], got {p}")
@@ -102,8 +100,7 @@ def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
 
 def random_tournament(n: int, seed: int) -> Digraph:
     """One arc per unordered pair, orientation decided by the word's parity."""
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"random tournament needs n in 0..{MAX_VERTICES}, got {n}")
+    check_order(n)
     rng = SplitMix64(seed)
     rows = [0] * n
     for u in range(n):

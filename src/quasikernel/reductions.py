@@ -31,8 +31,8 @@ from typing import Callable
 
 from .digraph import (
     Digraph,
-    MAX_VERTICES,
-    check_set,
+    _row_union,
+    check_order,
     expand_set,
     induced,
     is_sink_free,
@@ -73,9 +73,7 @@ def add_source_gadget(d: Digraph, c: int) -> tuple[Digraph, BlowupMap]:
     if c < 1:
         raise ValueError(f"gadget multiplicity must be >= 1, got {c}")
     n = d.n
-    total = n * (c + 1)
-    if total > MAX_VERTICES:
-        raise ValueError(f"gadget digraph on {total} vertices exceeds {MAX_VERTICES}")
+    check_order(n * (c + 1))
     rows = list(d.rows)
     blocks = []
     for v in range(n):
@@ -99,20 +97,15 @@ def weighted_blowup(d: Digraph, multiplicities) -> tuple[Digraph, BlowupMap]:
         raise ValueError(f"expected {d.n} multiplicities, got {len(mult)}")
     if any(m < 1 for m in mult):
         raise ValueError("multiplicities must be >= 1")
-    total = sum(mult)
-    if total > MAX_VERTICES:
-        raise ValueError(f"blowup on {total} vertices exceeds {MAX_VERTICES}")
+    check_order(sum(mult))
     blocks = []
     offset = 0
     for m in mult:
         blocks.append(((1 << m) - 1) << offset)
         offset += m
     rows = []
-    for v in range(d.n):
-        row = 0
-        for w in iter_bits(d.rows[v]):
-            row |= blocks[w]
-        rows.extend([row] * mult[v])
+    for row, m in zip(d.rows, mult):
+        rows.extend([_row_union(blocks, row)] * m)
     blown = Digraph(rows)
     return blown, BlowupMap("weighted", d, blown, tuple(blocks))
 
@@ -120,15 +113,11 @@ def weighted_blowup(d: Digraph, multiplicities) -> tuple[Digraph, BlowupMap]:
 def c3_blowup(d: Digraph) -> tuple[Digraph, BlowupMap]:
     """Blocks are directed triangles 3v -> 3v+1 -> 3v+2 -> 3v; arcs copied
     block-to-block.  The blown digraph is always sink-free."""
-    total = 3 * d.n
-    if total > MAX_VERTICES:
-        raise ValueError(f"triangle blowup on {total} vertices exceeds {MAX_VERTICES}")
+    check_order(3 * d.n)
     blocks = tuple(0b111 << (3 * v) for v in range(d.n))
     rows = []
-    for v in range(d.n):
-        out = 0
-        for w in iter_bits(d.rows[v]):
-            out |= blocks[w]
+    for v, row in enumerate(d.rows):
+        out = _row_union(blocks, row)
         base = 3 * v
         rows.append(out | (1 << (base + 1)))
         rows.append(out | (1 << (base + 2)))
@@ -143,7 +132,6 @@ def project_blowup_qk(bmap: BlowupMap, qprime: int) -> int:
     exactly once (two copies of a triangle are never independent)."""
     if bmap.kind == "source-gadget":
         raise ValueError("projection is defined for weighted and c3 blowups only")
-    check_set(bmap.blown, qprime)
     if not is_quasi_kernel(bmap.blown, qprime):
         raise ValueError("input is not a quasi-kernel of the blown digraph")
     q = 0
@@ -200,11 +188,10 @@ def matching_split(d: Digraph, q: int) -> MatchingSplit:
             matched |= 1 << v
     q1 = matched
     q2 = q & ~q1
-    for u in iter_bits(n_set):
-        if rows[u] & q1 == 0:
-            raise PostconditionViolationError(
-                "an N^-(Q) vertex lost all arcs into the matched part; "
-                "minimality argument violated")
+    if n_set & ~n_minus_set(d, q1):
+        raise PostconditionViolationError(
+            "an N^-(Q) vertex lost all arcs into the matched part; "
+            "minimality argument violated")
     for x in iter_bits(q2):
         if rows[x] & ~m_set or not rows[x]:
             raise PostconditionViolationError(

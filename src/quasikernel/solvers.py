@@ -39,13 +39,13 @@ from .digraph import (
     Digraph,
     Partition,
     _parity_reach,
+    _row_union,
     check_partition,
     check_set,
     induced,
     is_acyclic_set,
     is_independent,
     n_minus_closed,
-    n_minus_minus_closed,
     n_minus_set,
     n_plus_set,
 )
@@ -152,8 +152,7 @@ def _least_maximal_independent_set(d: Digraph, key):
 
 def is_kernel(d: Digraph, k: int) -> bool:
     """Independent and every vertex is in K or has an arc into K."""
-    check_set(d, k)
-    return is_independent(d, k) and n_minus_closed(d, k) == d.vertex_mask
+    return is_independent(d, k) and k | _row_union(d.in_rows, k) == d.vertex_mask
 
 
 def find_kernel(d: Digraph) -> SolveResult:
@@ -187,8 +186,10 @@ def _first_kernel(d: Digraph, size) -> SolveResult:
 
 def is_quasi_kernel(d: Digraph, q: int) -> bool:
     """Independent and every vertex is within directed distance 2 to Q."""
-    check_set(d, q)
-    return is_independent(d, q) and n_minus_minus_closed(d, q) == d.vertex_mask
+    if not is_independent(d, q):
+        return False
+    once = q | _row_union(d.in_rows, q)
+    return once | _row_union(d.in_rows, once) == d.vertex_mask
 
 
 def _qk_raw(rows, in_rows, full, mask) -> bool:
@@ -327,7 +328,7 @@ def quasi_kernels(d: Digraph):
 
 def _underlying_rows(d: Digraph) -> list[int]:
     """Neighbours of each vertex in the underlying undirected graph."""
-    return [d.rows[v] | d.in_rows[v] for v in range(d.n)]
+    return [row | in_row for row, in_row in zip(d.rows, d.in_rows)]
 
 
 def _independent_extends(d: Digraph):

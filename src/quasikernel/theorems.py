@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     Partition,
+    _row_union,
     check_partition,
     check_set,
     compress_set,
@@ -70,18 +71,17 @@ from .solvers import (
 )
 
 
-def extend_to_dominating_kp_set(d: Digraph, p: int, check_pre: bool = True) -> int:
+def extend_to_dominating_kp_set(d: Digraph, p: int) -> int:
     """Grow a kernel-perfect set until every outside vertex has an arc into it.
 
     Vertices are absorbed one at a time, smallest index first, and a vertex
     is eligible only while it has no out-arc into the grown set -- it joins
     as a sink of the grown induced subdigraph, so kernel-perfectness is
     preserved without re-checking.  Consequently the grown set never meets
-    ``n_minus_set(d, p)``.
+    ``n_minus_set(d, p)``.  That p is kernel-perfect is the caller's
+    precondition and is not checked here.
     """
     check_set(d, p)
-    if check_pre and not is_kernel_perfect(d, p):
-        raise ValueError("input set is not kernel-perfect")
     # a rejected vertex has an arc into the set, which only grows, so it stays
     # rejected and one ascending pass suffices
     rows = d.rows
@@ -96,10 +96,12 @@ def extend_to_dominating_kp_set(d: Digraph, p: int, check_pre: bool = True) -> i
     return cur
 
 
-def quasi_kernel_covering(d: Digraph, p: int, check_pre: bool = True) -> int:
+def quasi_kernel_covering(d: Digraph, p: int) -> int:
     """Quasi-kernel Q with p inside n_minus_closed(d, Q) and Q disjoint from
     n_minus_set(d, p); p must be kernel-perfect."""
-    return _cover(d, p, None, check_pre)
+    if not is_kernel_perfect(d, p):
+        raise ValueError("input set is not kernel-perfect")
+    return _cover(d, p, None)
 
 
 def _weigher(weights):
@@ -110,10 +112,10 @@ def _weigher(weights):
     return lambda mask: sum(weights[v] for v in iter_bits(mask))
 
 
-def _cover(d: Digraph, p: int, weights, check_pre: bool) -> int:
+def _cover(d: Digraph, p: int, weights) -> int:
     """``quasi_kernel_covering`` taking the kernel of the grown set that is
-    least by (weight, mask)."""
-    ext = extend_to_dominating_kp_set(d, p, check_pre=check_pre)
+    least by (weight, mask); p must be kernel-perfect, which is not checked."""
+    ext = extend_to_dominating_kp_set(d, p)
     sub, emb = induced(d, ext)
     kres = _first_kernel(sub, _weigher(None if weights is None else [weights[v] for v in emb]))
     if kres.witness is None:
@@ -184,9 +186,8 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     parts = _checked_parts(d, partition, check_parts)
     k = len(parts)
     n = d.n
-    rows = d.rows
 
-    kernel = _cover(d, parts[0], None, False)
+    kernel = _cover(d, parts[0], None)
     in_of_kernel = n_minus_set(d, kernel)
     core = kernel
     for v in reversed(vertices_of(kernel)):
@@ -209,17 +210,13 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
         part_i = refined[i]
         if k * (n_minus_set(d, part_i) & leftover).bit_count() >= w_size:
             sub_w, emb_w = induced(d, remainder)
-            q_w = quasi_kernel_covering(sub_w, compress_set(part_i, emb_w), check_pre=False)
-            q_w = expand_set(q_w, emb_w)
+            q_w = expand_set(_cover(sub_w, compress_set(part_i, emb_w), None), emb_w)
             result = q_w | (core & ~n_minus_set(d, q_w))
             branch = f"part:{i}"
             break
     if result is None:
-        steppers = 0
-        for v in iter_bits(leftover):
-            if rows[v] & remainder:
-                steppers |= 1 << v
-        result = core | steppers
+        # the leftover kernel vertices with an arc into the remainder
+        result = core | (leftover & _row_union(d.in_rows, remainder))
 
     if not is_quasi_kernel(d, result):
         raise PostconditionViolationError("construction produced a non-quasi-kernel")
@@ -248,7 +245,7 @@ def _cover_largest(d: Digraph, parts: list[int], weights) -> SolveResult:
     weight of ``n_minus_closed``, is at least 1/k of the total weight."""
     weigh = _weigher(weights)
     k = len(parts)
-    q = _cover(d, max(parts, key=weigh), weights, False)
+    q = _cover(d, max(parts, key=weigh), weights)
     objective = weigh(n_minus_closed(d, q))
     total = weigh(d.vertex_mask)
     if k * objective < total:
@@ -291,10 +288,8 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
     q_core = expand_set(maximalize_quasi_kernel(core, _cover_largest(core, core_parts, weights).witness), emb)
     missed = core_mask & ~n_minus_closed(d0, q_core)
 
-    extras = 0
-    for a in iter_bits(missed):
-        extras |= d0.in_rows[a] & source_mask
-    witness0 = q_core | extras
+    # every missed core vertex takes the sources that feed it
+    witness0 = q_core | (n_minus_set(d0, missed) & source_mask)
     if not is_quasi_kernel(d0, witness0):
         raise PostconditionViolationError("core witness plus sources fails on the pruned digraph")
 

@@ -89,3 +89,27 @@ def test_every_import_is_read():
     paths = [*ROOT.glob("src/quasikernel/*.py"), *ROOT.glob("tests/*.py")]
     unread = {p.relative_to(ROOT).as_posix(): names for p in paths if (names := _unread_imports(p))}
     assert unread == {}
+
+
+def _names_and_definitions(path: Path) -> tuple[set[str], list[str]]:
+    """The names a module reads or imports, and the functions it defines."""
+    tree = ast.parse(path.read_text(), str(path))
+    named, defined = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.alias):
+            named.add(node.asname or node.name)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.FunctionDef):
+            defined.append(node.name)
+    return named, defined
+
+
+def test_order_limit_and_row_union_live_in_one_module():
+    scans = {p.relative_to(ROOT).as_posix(): _names_and_definitions(p)
+             for p in [*ROOT.glob("src/quasikernel/*.py"), *ROOT.glob("tests/*.py")]}
+    assert [p for p, (named, _) in scans.items() if "MAX_VERTICES" in named] == ["src/quasikernel/digraph.py"]
+    assert [p for p, (_, defined) in scans.items() for name in defined if name == "_row_union"] == [
+        "src/quasikernel/digraph.py"]

@@ -1,4 +1,6 @@
 import dataclasses
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,9 @@ from quasikernel.digraph import (
     sinks,
     sources_not_sinks,
 )
+from quasikernel.generators import edgeless, random_digraph, random_tournament
+from quasikernel.reductions import add_source_gadget, c3_blowup, weighted_blowup
+from quasikernel.solvers import is_kernel, is_quasi_kernel, large_score, sharp_score
 
 import oracles
 from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
@@ -79,6 +84,36 @@ def test_bad_digraphs_rejected(rows, message):
     with pytest.raises(ValueError) as excinfo:
         Digraph(rows)
     assert str(excinfo.value) == message
+
+
+# Every site that builds a digraph of a given order rejects it with one message.
+@pytest.mark.parametrize("build,order", [
+    pytest.param(lambda: Digraph((0,) * 64), 64, id="Digraph"),
+    pytest.param(lambda: Digraph.from_arcs(64, []), 64, id="from_arcs"),
+    pytest.param(lambda: disjoint_union(edgeless(32), edgeless(32)), 64, id="disjoint_union"),
+    pytest.param(lambda: digraph_from_code(64, 0), 64, id="digraph_from_code"),
+    pytest.param(lambda: edgeless(64), 64, id="edgeless"),
+    pytest.param(lambda: random_digraph(64, Fraction(1, 2), 0), 64, id="random_digraph"),
+    pytest.param(lambda: random_tournament(64, 0), 64, id="random_tournament"),
+    pytest.param(lambda: add_source_gadget(edgeless(32), 1), 64, id="add_source_gadget"),
+    pytest.param(lambda: weighted_blowup(edgeless(2), (32, 32)), 64, id="weighted_blowup"),
+    pytest.param(lambda: c3_blowup(edgeless(22)), 66, id="c3_blowup"),
+])
+def test_order_above_63_rejected_with_one_message(build, order):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == f"vertex count must be in 0..63, got {order}"
+
+
+def test_digraph_from_code_checks_the_order_before_building_rows():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count must be in 0..63, got 100000"):
+            digraph_from_code(10**5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("n,arcs", [
@@ -136,12 +171,15 @@ def test_n_plus_set_is_exact_distance_one():
     assert n_plus_set(d, mask_of([0, 1])) == mask_of([2])
 
 
-def test_set_arguments_are_validated():
+@pytest.mark.parametrize("takes_mask", [
+    n_plus_set, n_minus_set, n_minus_closed, n_minus_minus_closed, is_independent, is_acyclic_set,
+    induced, is_kernel, is_quasi_kernel, large_score, sharp_score,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("mask", [0b100, -1], ids=["0b100", "-1"])
+def test_set_arguments_are_validated(takes_mask, mask):
     d = dg(2, [(0, 1)])
-    with pytest.raises(ValueError):
-        n_minus_set(d, 0b100)
-    with pytest.raises(ValueError):
-        n_minus_closed(d, -1)
+    with pytest.raises(ValueError, match="has bits outside 0..1"):
+        takes_mask(d, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +187,16 @@ def test_set_arguments_are_validated():
 
 
 def test_independent_and_acyclic_match_oracles_exhaustively():
-    for d in all_digraphs(3):
-        for s in range(8):
-            sset = mask_to_set(s)
-            assert is_independent(d, s) == oracles.oracle_is_independent(d, sset)
-            assert is_acyclic_set(d, s) == oracles.oracle_is_acyclic(d, sset)
+    for n in range(5):
+        for d in all_digraphs(n):
+            for s in range(1 << n):
+                sset = mask_to_set(s)
+                assert is_independent(d, s) == oracles.oracle_is_independent(d, sset)
+                assert is_acyclic_set(d, s) == oracles.oracle_is_acyclic(d, sset)
+                assert mask_to_set(n_plus_set(d, s)) == oracles.oracle_n_plus(d, sset)
+                assert mask_to_set(n_minus_set(d, s)) == oracles.oracle_n_minus(d, sset)
+                assert mask_to_set(n_minus_closed(d, s)) == oracles.oracle_n_minus_closed(d, sset)
+                assert mask_to_set(n_minus_minus_closed(d, s)) == oracles.oracle_n_minus_minus_closed(d, sset)
 
 
 def test_sinks_and_sources():

@@ -53,11 +53,6 @@ def test_extend_grows_to_domination():
     assert grown & mask_of([3]) == 0
 
 
-def test_extend_rejects_non_kernel_perfect_seed(c3):
-    with pytest.raises(ValueError):
-        extend_to_dominating_kp_set(c3, c3.vertex_mask)
-
-
 @given(n4_codes, st.integers(min_value=0, max_value=3))
 @settings(max_examples=60)
 def test_extend_postconditions(code, v):
@@ -99,6 +94,20 @@ def test_covering_postconditions(code, p):
 
 # ---------------------------------------------------------------------------
 # the small-side pipeline
+
+
+def test_leftover_kernel_vertices_step_into_the_remainder():
+    # Sources 2 and 4 point into the 4-cycle 0 -> 1 -> 3 -> 0.  The kernel
+    # {1, 2, 4} shrinks to the core {1}; of the leftover {2, 4} only 2 has an
+    # arc into the remainder {2, 3, 4}, so the "otherwise" shape is {1, 2}.
+    # The sources pipeline misses core vertex 3 and takes its source 2.
+    d = dg(5, [(0, 1), (1, 3), (2, 3), (3, 0), (4, 0)])
+    k, part = kernel_perfect_number(d)
+    assert (k, part.parts) == (2, (mask_of([0, 1, 2, 4]), mask_of([3])))
+    trace = small_qk_from_partition(d, part)
+    assert (trace.kernel, trace.core, trace.remainder) == (mask_of([1, 2, 4]), mask_of([1]), mask_of([2, 3, 4]))
+    assert (trace.branch, trace.result) == ("otherwise", mask_of([1, 2]))
+    assert small_qk_with_sources(d, part).witness == mask_of([1, 2])
 
 
 def test_small_golden_triangle(c3):
