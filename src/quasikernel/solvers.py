@@ -7,8 +7,12 @@ always exist in a finite digraph, so an exhausted search is a bug, not a
 result.
 
 Everything here is exhaustive and exact, sized for a desk, and identical runs
-give identical output.  The minimum quasi-kernel search walks bit masks in
-(cardinality, numeric) order and returns the first hit.  Kernels, heavy
+give identical output.  The minimum quasi-kernel search tries sizes k = 1,
+2, ... and, within a size, branches on the vertices from the top down,
+excluding before including, so its first hit is the least mask of the least
+size.  Every set it builds is independent, and a branch is cut when too few
+vertices are left or when what it covers plus what the vertices below its
+top free vertex could reach misses a vertex.  Kernels, heavy
 independent sets and maximum (large, sharp) quasi-kernels are maximal
 independent sets Q.  Bron--Kerbosch with Tomita pivoting lists each with
 N^-(Q) and N^+(Q), and those searches keep the set with the least key, one
@@ -54,6 +58,7 @@ from .exceptions import BudgetExceededError, PostconditionViolationError
 KERNEL_PERFECT_BUDGET = 16
 PARTITION_BUDGET = 12
 ENUMERATION_BUDGET = 20
+MIN_QK_BUDGET = 32
 MIS_BUDGET = 32
 
 
@@ -66,19 +71,6 @@ class SolveResult:
     witness: int | None
     objective: int
     verified: bool
-
-
-def _masks_by_size(n: int):
-    """All masks over n bits, cardinality first, numerically within."""
-    yield 0
-    top = 1 << n
-    for k in range(1, n + 1):
-        m = (1 << k) - 1
-        while m < top:
-            yield m
-            c = m & -m
-            r = m + c
-            m = r | (((r ^ m) >> 2) // c)
 
 
 def _maximal_independent_sets(d: Digraph):
@@ -214,21 +206,63 @@ def _qk_raw(rows, in_rows, full, mask) -> bool:
 
 
 def min_quasi_kernel(d: Digraph) -> SolveResult:
-    """Lexicographically first minimum-size quasi-kernel.
+    """Lexicographically first minimum-size quasi-kernel: the least mask
+    among the quasi-kernels of least size.
 
     Every finite digraph has one, so exhaustion raises (a bug signal).
-    A minimum quasi-kernel is in particular inclusion-minimal.
+    Deciding whether one of a given size exists is NP-complete (Langlois,
+    Meunier, Rizzi and Vialette, WG 2022), so the search has a budget.
     """
-    if d.n > ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"minimum quasi-kernel search budget is n <= {ENUMERATION_BUDGET}")
-    rows = d.rows
-    in_rows = d.in_rows
-    full = d.vertex_mask
-    for mask in _masks_by_size(d.n):
-        if _qk_raw(rows, in_rows, full, mask):
-            if not is_quasi_kernel(d, mask):
-                raise PostconditionViolationError("quasi-kernel search returned a bad witness")
-            return SolveResult(mask, mask.bit_count(), True)
+    if d.n > MIN_QK_BUDGET:
+        raise BudgetExceededError(f"minimum quasi-kernel search budget is n <= {MIN_QK_BUDGET}")
+    mask = _first_min_quasi_kernel(d.rows, d.in_rows, d.vertex_mask)
+    if not is_quasi_kernel(d, mask):
+        raise PostconditionViolationError("quasi-kernel search returned a bad witness")
+    return SolveResult(mask, mask.bit_count(), True)
+
+
+def _first_min_quasi_kernel(rows, in_rows, full: int) -> int:
+    """The search behind ``min_quasi_kernel``.
+
+    An independent Q is a quasi-kernel iff the union of ``reach[v]`` over
+    v in Q is everything, where ``reach[v]`` holds v and every vertex with
+    a path of at most two arcs to v.  Size 1 fills that table one vertex at
+    a time and stops at the first vertex that reaches everything.  Each
+    larger size k is a depth-first search over (Q, avail, cover): avail
+    holds the undecided vertices with no arc to or from Q, and cover is the
+    union of ``reach`` over Q.  It branches on the top vertex of avail and
+    tries excluding it first, so the first hit is the least mask of size k.
+    ``below[m]`` is the union of ``reach`` over the vertices under m, and
+    every vertex of avail lies under avail's top bit, so a node whose cover
+    plus that union misses a vertex has no quasi-kernel below it.
+    """
+    if not full:
+        return 0
+    n = len(rows)
+    reach = []
+    for v in range(n):
+        once = in_rows[v] | 1 << v
+        twice = once | _row_union(in_rows, once)
+        if twice == full:
+            return 1 << v
+        reach.append(twice)
+    below = [0]
+    for twice in reach:
+        below.append(below[-1] | twice)
+    for k in range(2, n + 1):
+        stack = [(0, full, 0, k)]  # (Q, avail, cover, vertices still to add)
+        while stack:
+            q, avail, cover, need = stack.pop()
+            if not need:
+                if cover == full:
+                    return q
+                continue
+            if avail.bit_count() < need or cover | below[avail.bit_length()] != full:
+                continue
+            v = avail.bit_length() - 1
+            bit = 1 << v
+            stack.append((q | bit, avail & ~(rows[v] | in_rows[v] | bit), cover | reach[v], need - 1))
+            stack.append((q, avail ^ bit, cover, need))
     raise AssertionError("no quasi-kernel found; digraphs always have one")
 
 

@@ -87,12 +87,9 @@ def oracle_first_heavy(d):
     return _first_by_size_then_mask(heavy)
 
 
-def oracle_min_qk(d):
-    """Smallest quasi-kernel as a frozenset, first in combinations order."""
-    for s in subsets_by_size(d.n):
-        if oracle_is_qk(d, s):
-            return frozenset(s)
-    raise AssertionError("every digraph has a quasi-kernel")
+def oracle_first_min_qk(d):
+    """First quasi-kernel in (size, mask) order as a frozenset."""
+    return _first_by_size_then_mask(frozenset(s) for s in subsets_by_size(d.n) if oracle_is_qk(d, s))
 
 
 def oracle_large_objective(d, s):

@@ -502,11 +502,11 @@ def test_malformed_input(capsys, tmp_path):
 
 
 def test_solve_min_over_budget(capsys, tmp_path):
-    path = tmp_path / "edgeless21.dg"
-    path.write_text(serialize(make(parse_family("edgeless:21"))))
+    path = tmp_path / "edgeless33.dg"
+    path.write_text(serialize(make(parse_family("edgeless:33"))))
     code, out, err = run(capsys, ["solve", "--alg", "min", "--input", str(path)])
     assert (code, out) == (1, "")
-    assert err == "qk: error: minimum quasi-kernel search budget is n <= 20\n"
+    assert err == "qk: error: minimum quasi-kernel search budget is n <= 32\n"
 
 
 # the sources theorem's blowups of these have 38 and 66 vertices

@@ -10,7 +10,7 @@ from quasikernel.generators import make, parse_family
 from quasikernel.harness import check, parse_alpha, report_to_csv, slack
 
 from conftest import all_digraphs, dg, mask_to_set
-from oracles import oracle_max_large, oracle_max_sharp, oracle_min_qk
+from oracles import oracle_first_min_qk, oracle_max_large, oracle_max_sharp
 
 
 HALF = Fraction(1, 2)
@@ -105,7 +105,7 @@ def test_check_matches_oracles_n3(alpha):
     for d in all_digraphs(3):
         n = d.n
         s = sum(1 for v in range(n) if d.in_rows[v] == 0 and d.rows[v] != 0)
-        min_size = len(oracle_min_qk(d))
+        min_size = len(oracle_first_min_qk(d))
         rec = check(d, sources_spec)
         assert rec.objective == min_size
         assert rec.passed == (min_size <= n - alpha * s)

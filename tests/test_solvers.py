@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,14 +32,13 @@ from quasikernel.digraph import (
     n_plus_set,
     odd_dicycle_free,
 )
-from quasikernel.generators import make, parse_family
+from quasikernel.generators import make, parse_family, random_digraph
 from quasikernel.solvers import (
     SolveResult,
     _acyclic_extends,
     _independent_extends,
     _kernel_perfect_extends,
     _kernel_perfect_through,
-    _masks_by_size,
     _maximal_independent_sets,
     _partition_number,
     check_set,
@@ -55,11 +55,6 @@ from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
 
 n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
 n5_codes = st.integers(min_value=0, max_value=(1 << 20) - 1)
-
-
-def test_masks_by_size_order():
-    got = list(_masks_by_size(3))
-    assert got == [0b000, 0b001, 0b010, 0b100, 0b011, 0b101, 0b110, 0b111]
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +138,23 @@ def test_every_tournament_without_kernel_has_one_loser():
 # quasi-kernels
 
 
+def _min_quasi_kernel_matches_oracle(d):
+    want = set_to_mask(oracles.oracle_first_min_qk(d))
+    assert min_quasi_kernel(d) == SolveResult(want, want.bit_count(), True)
+
+
 def test_min_quasi_kernel_matches_oracle_exhaustively():
-    for d in all_digraphs(3):
-        res = min_quasi_kernel(d)
-        assert res.objective == len(oracles.oracle_min_qk(d))
-        assert res.objective == res.witness.bit_count()
-        assert res.verified
+    for n in range(5):
+        for d in all_digraphs(n):
+            _min_quasi_kernel_matches_oracle(d)
 
 
-@given(n4_codes)
-def test_min_quasi_kernel_matches_oracle(code):
-    d = digraph_from_code(4, code)
-    assert min_quasi_kernel(d).objective == len(oracles.oracle_min_qk(d))
+@given(st.integers(min_value=6, max_value=10),
+       st.sampled_from([Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
+       st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=40, deadline=None)
+def test_min_quasi_kernel_matches_oracle(n, p, seed):
+    _min_quasi_kernel_matches_oracle(random_digraph(n, p, seed))
 
 
 def test_min_quasi_kernel_is_first_by_size_then_mask(c4):
@@ -164,12 +164,21 @@ def test_min_quasi_kernel_is_first_by_size_then_mask(c4):
     assert min_quasi_kernel(d).witness == mask_of([1])
 
 
+def test_min_quasi_kernel_pinned_at_order_30_and_32():
+    # an edgeless digraph's only quasi-kernel is everything
+    assert min_quasi_kernel(make(parse_family("edgeless:32"))) == SolveResult((1 << 32) - 1, 32, True)
+    # a directed triangle needs exactly one of its vertices, and its least
+    # vertex reaches the other two within two arcs
+    triangles = dg(30, [(3 * i + j, 3 * i + (j + 1) % 3) for i in range(10) for j in range(3)])
+    assert min_quasi_kernel(triangles) == SolveResult(mask_of(range(0, 30, 3)), 10, True)
+
+
 def test_min_quasi_kernel_budget():
     # every other vertex has an arc into vertex 0, so {0} is found at once
-    star = dg(20, [(v, 0) for v in range(1, 20)])
+    star = dg(32, [(v, 0) for v in range(1, 32)])
     assert min_quasi_kernel(star) == SolveResult(1, 1, True)
-    with pytest.raises(BudgetExceededError, match="n <= 20"):
-        min_quasi_kernel(dg(21, [(v, 0) for v in range(1, 21)]))
+    with pytest.raises(BudgetExceededError, match="n <= 32"):
+        min_quasi_kernel(dg(33, [(v, 0) for v in range(1, 33)]))
 
 
 @given(n4_codes)
