@@ -13,10 +13,9 @@ a pure function over two value types defined here:
 Distance is shortest directed path length.  Set neighbourhoods are the
 distance-based ones:
 
-* ``n_minus_set(D, S)``        = vertices at distance exactly 1 *to* S
+* ``n_minus_set(D, S)``    = vertices at distance exactly 1 *to* S
   (never contains a member of S);
-* ``n_minus_closed(D, S)``     = S plus the above (distance <= 1);
-* ``n_minus_minus_closed(D,S)``= everything within distance 2 to S.
+* ``n_minus_closed(D, S)`` = S plus the above (distance <= 1).
 
 A vertex is a sink iff its out-degree is 0 and a source iff its in-degree
 is 0; ``sources_not_sinks`` is the set the with-sources conjecture variant
@@ -193,12 +192,6 @@ def n_minus_closed(d: Digraph, s: int) -> int:
     return s | _row_union(d.in_rows, s)
 
 
-def n_minus_minus_closed(d: Digraph, s: int) -> int:
-    """Every vertex within directed distance 2 to S."""
-    once = n_minus_closed(d, s)
-    return once | _row_union(d.in_rows, once)
-
-
 # ---------------------------------------------------------------------------
 # predicates
 
@@ -232,15 +225,6 @@ def is_acyclic_set(d: Digraph, s: int) -> bool:
 def is_sink_free(d: Digraph) -> bool:
     """Every vertex has out-degree at least 1."""
     return all(row for row in d.rows)
-
-
-def sinks(d: Digraph) -> int:
-    """Mask of vertices with out-degree 0."""
-    m = 0
-    for v, row in enumerate(d.rows):
-        if not row:
-            m |= 1 << v
-    return m
 
 
 def sources_not_sinks(d: Digraph) -> int:

@@ -7,12 +7,13 @@ always exist in a finite digraph, so an exhausted search is a bug, not a
 result.
 
 Everything here is exhaustive and exact, sized for a desk, and identical runs
-give identical output.  The minimum quasi-kernel search tries sizes k = 1,
-2, ... and, within a size, branches on the vertices from the top down,
-excluding before including, so its first hit is the least mask of the least
-size.  Every set it builds is independent, and a branch is cut when too few
-vertices are left or when what it covers plus what the vertices below its
-top free vertex could reach misses a vertex.  Kernels, heavy
+give identical output.  One ordered search lists quasi-kernels: it branches
+on the vertices from the top down, excluding before including, so it yields
+masks in ascending order, and it builds only independent sets of at most a
+given size.  A branch is cut when what it covers plus what the vertices
+below its top free vertex could reach misses a vertex.  Enumeration takes
+every yield; the minimum search tries one vertex, then caps k = 2, 3, ...,
+and its first yield is the least mask of the least size.  Kernels, heavy
 independent sets and maximum (large, sharp) quasi-kernels are maximal
 independent sets Q.  Bron--Kerbosch with Tomita pivoting lists each with
 N^-(Q) and N^+(Q), and those searches keep the set with the least key, one
@@ -184,27 +185,6 @@ def is_quasi_kernel(d: Digraph, q: int) -> bool:
     return once | _row_union(d.in_rows, once) == d.vertex_mask
 
 
-def _qk_raw(rows, in_rows, full, mask) -> bool:
-    closed = mask
-    probe = mask
-    while probe:
-        low = probe & -probe
-        v = low.bit_length() - 1
-        if rows[v] & mask:
-            return False
-        closed |= in_rows[v]
-        probe ^= low
-    if closed == full:
-        return True
-    twice = closed
-    probe = closed
-    while probe:
-        low = probe & -probe
-        twice |= in_rows[low.bit_length() - 1]
-        probe ^= low
-    return twice == full
-
-
 def min_quasi_kernel(d: Digraph) -> SolveResult:
     """Lexicographically first minimum-size quasi-kernel: the least mask
     among the quasi-kernels of least size.
@@ -215,55 +195,79 @@ def min_quasi_kernel(d: Digraph) -> SolveResult:
     """
     if d.n > MIN_QK_BUDGET:
         raise BudgetExceededError(f"minimum quasi-kernel search budget is n <= {MIN_QK_BUDGET}")
-    mask = _first_min_quasi_kernel(d.rows, d.in_rows, d.vertex_mask)
+    mask = _first_min_quasi_kernel(d)
     if not is_quasi_kernel(d, mask):
         raise PostconditionViolationError("quasi-kernel search returned a bad witness")
     return SolveResult(mask, mask.bit_count(), True)
 
 
-def _first_min_quasi_kernel(rows, in_rows, full: int) -> int:
+def _first_min_quasi_kernel(d: Digraph) -> int:
     """The search behind ``min_quasi_kernel``.
 
-    An independent Q is a quasi-kernel iff the union of ``reach[v]`` over
-    v in Q is everything, where ``reach[v]`` holds v and every vertex with
-    a path of at most two arcs to v.  Size 1 fills that table one vertex at
-    a time and stops at the first vertex that reaches everything.  Each
-    larger size k is a depth-first search over (Q, avail, cover): avail
-    holds the undecided vertices with no arc to or from Q, and cover is the
-    union of ``reach`` over Q.  It branches on the top vertex of avail and
-    tries excluding it first, so the first hit is the least mask of size k.
-    ``below[m]`` is the union of ``reach`` over the vertices under m, and
-    every vertex of avail lies under avail's top bit, so a node whose cover
-    plus that union misses a vertex has no quasi-kernel below it.
+    Size 1 fills ``reach`` one vertex at a time and stops at the first
+    vertex that reaches everything.  Then, for k = 2, 3, ..., it takes the
+    first quasi-kernel with at most k vertices in ascending mask order.
+    None with fewer than k exists, so the first one found has exactly k
+    vertices and is the least mask of least size.
     """
+    full = d.vertex_mask
     if not full:
         return 0
-    n = len(rows)
+    reach = _reach_table(d.in_rows, full)
+    if reach[-1] == full:
+        return 1 << len(reach) - 1
+    for k in range(2, d.n + 1):
+        for q in _ordered_quasi_kernels(d.rows, d.in_rows, reach, k):
+            return q
+    raise AssertionError("no quasi-kernel found; digraphs always have one")
+
+
+def _reach_table(in_rows, stop: int = -1) -> list[int]:
+    """``reach[v]`` for v = 0, 1, ...: v and every vertex with a path of at
+    most two arcs to v.  An independent Q is a quasi-kernel iff the union of
+    ``reach`` over Q is everything.  The table ends early, after the first
+    entry equal to ``stop``."""
     reach = []
-    for v in range(n):
+    for v in range(len(in_rows)):
         once = in_rows[v] | 1 << v
         twice = once | _row_union(in_rows, once)
-        if twice == full:
-            return 1 << v
         reach.append(twice)
+        if twice == stop:
+            break
+    return reach
+
+
+def _ordered_quasi_kernels(rows, in_rows, reach: list[int], cap: int):
+    """Yield every quasi-kernel with at most ``cap`` vertices (cap >= 1, or
+    0 on the empty digraph) in ascending mask order.
+
+    A depth-first search over (Q, avail, cover, room): avail holds the
+    undecided vertices with no arc to or from Q, cover is the union of
+    ``reach`` over Q, and Q may take room more vertices.  It branches on the
+    top vertex of avail and tries excluding it first, so the masks come out
+    in ascending order, and it builds only independent sets.  ``below[m]``
+    is the union of ``reach`` over the vertices under m, and every vertex of
+    avail lies under avail's top bit, so a node whose cover plus that union
+    misses a vertex has no quasi-kernel below it.  A leaf has avail empty
+    and ``below[0] = 0``, so the same test requires cover to be everything.
+    """
     below = [0]
-    for twice in reach:
-        below.append(below[-1] | twice)
-    for k in range(2, n + 1):
-        stack = [(0, full, 0, k)]  # (Q, avail, cover, vertices still to add)
-        while stack:
-            q, avail, cover, need = stack.pop()
-            if not need:
-                if cover == full:
-                    return q
-                continue
-            if avail.bit_count() < need or cover | below[avail.bit_length()] != full:
-                continue
-            v = avail.bit_length() - 1
-            bit = 1 << v
-            stack.append((q | bit, avail & ~(rows[v] | in_rows[v] | bit), cover | reach[v], need - 1))
-            stack.append((q, avail ^ bit, cover, need))
-    raise AssertionError("no quasi-kernel found; digraphs always have one")
+    for ball in reach:
+        below.append(below[-1] | ball)
+    full = below[-1]
+    stack = [(0, full, 0, cap)]
+    while stack:
+        q, avail, cover, room = stack.pop()
+        if cover | below[avail.bit_length()] != full:
+            continue
+        if not avail:
+            yield q
+            continue
+        v = avail.bit_length() - 1
+        bit = 1 << v
+        rest = avail & ~(rows[v] | in_rows[v] | bit) if room > 1 else 0
+        stack.append((q | bit, rest, cover | reach[v], room - 1))
+        stack.append((q, avail ^ bit, cover, room))
 
 
 def large_score(d: Digraph, q: int) -> int:
@@ -339,15 +343,15 @@ def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
 
 
 def quasi_kernels(d: Digraph):
-    """Yield every quasi-kernel mask in ascending numeric order."""
+    """Yield every quasi-kernel mask in ascending numeric order, each
+    re-checked against ``is_quasi_kernel`` before it is yielded."""
     if d.n > ENUMERATION_BUDGET:
         raise BudgetExceededError(f"quasi-kernel enumeration budget is n <= {ENUMERATION_BUDGET}")
-    rows = d.rows
-    in_rows = d.in_rows
-    full = d.vertex_mask
-    for mask in range(full + 1):
-        if _qk_raw(rows, in_rows, full, mask):
-            yield mask
+    reach = _reach_table(d.in_rows)
+    for mask in _ordered_quasi_kernels(d.rows, d.in_rows, reach, d.n):
+        if not is_quasi_kernel(d, mask):
+            raise PostconditionViolationError("quasi-kernel enumeration yielded a non-quasi-kernel")
+        yield mask
 
 
 # ---------------------------------------------------------------------------

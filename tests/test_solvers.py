@@ -62,11 +62,12 @@ n5_codes = st.integers(min_value=0, max_value=(1 << 20) - 1)
 
 
 def test_kernel_predicates_match_oracle():
-    for d in all_digraphs(3):
-        for s in range(8):
-            sset = mask_to_set(s)
-            assert is_kernel(d, s) == oracles.oracle_is_kernel(d, sset)
-            assert is_quasi_kernel(d, s) == oracles.oracle_is_qk(d, sset)
+    for n in range(5):
+        for d in all_digraphs(n):
+            for s in range(1 << n):
+                sset = mask_to_set(s)
+                assert is_kernel(d, s) == oracles.oracle_is_kernel(d, sset)
+                assert is_quasi_kernel(d, s) == oracles.oracle_is_qk(d, sset)
 
 
 def test_find_kernel_none_on_odd_cycles(c3, c5):
@@ -298,15 +299,44 @@ def test_maximalize_rejects_non_quasi_kernel(c4):
         maximalize_quasi_kernel(c4, mask_of([0, 1]))
 
 
+def _quasi_kernels_match_oracle(d):
+    want = [m for m in range(1 << d.n) if oracles.oracle_is_qk(d, mask_to_set(m))]
+    assert list(quasi_kernels(d)) == want
+
+
 def test_quasi_kernels_enumerates_exactly():
-    for d in all_digraphs(3):
-        got = list(quasi_kernels(d))
-        want = [m for m in range(8) if oracles.oracle_is_qk(d, mask_to_set(m))]
-        assert got == want
+    for n in range(5):
+        for d in all_digraphs(n):
+            _quasi_kernels_match_oracle(d)
+
+
+@given(st.integers(min_value=6, max_value=10),
+       st.sampled_from([Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]),
+       st.integers(min_value=0, max_value=(1 << 64) - 1))
+@settings(max_examples=40, deadline=None)
+def test_quasi_kernels_match_oracle(n, p, seed):
+    _quasi_kernels_match_oracle(random_digraph(n, p, seed))
+
+
+def test_quasi_kernels_pinned_at_order_20():
+    # an edgeless digraph's only quasi-kernel is everything
+    assert list(quasi_kernels(make(parse_family("edgeless:20")))) == [(1 << 20) - 1]
+    # a quasi-kernel of ten disjoint digons takes exactly one vertex of
+    # each, so there are 2^10 = 1,024 of them
+    digons = dg(20, [(2 * i + j, 2 * i + 1 - j) for i in range(10) for j in range(2)])
+    want = sorted(sum(1 << 2 * i + b for i, b in enumerate(picks))
+                  for picks in itertools.product((0, 1), repeat=10))
+    assert list(quasi_kernels(digons)) == want
+
+
+def test_quasi_kernels_rechecks_each_mask(monkeypatch, c4):
+    monkeypatch.setattr(solvers, "_ordered_quasi_kernels", lambda *args: iter([mask_of([0, 1])]))
+    with pytest.raises(PostconditionViolationError, match="non-quasi-kernel"):
+        list(quasi_kernels(c4))
 
 
 def test_quasi_kernels_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^quasi-kernel enumeration budget is n <= 20$"):
         next(quasi_kernels(Digraph((0,) * 21)))
 
 
