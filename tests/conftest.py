@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from quasikernel import Digraph, enumerate_digraphs
 from quasikernel.generators import make, parse_family, random_digraph
 
+import oracles
+
 
 def dg(n, arcs):
     return Digraph.from_arcs(n, arcs)
@@ -35,6 +37,13 @@ def set_to_mask(s):
 @functools.lru_cache(maxsize=None)
 def all_digraphs(n, sink_free=False):
     return tuple(enumerate_digraphs(n, sink_free=sink_free))
+
+
+@functools.lru_cache(maxsize=None)
+def least_codes(n):
+    """``oracles.oracle_least_code`` of every labeled digraph on n vertices,
+    indexed by adjacency code: the code of its class representative."""
+    return tuple(oracles.oracle_least_code(d) for d in all_digraphs(n))
 
 
 @st.composite

@@ -292,3 +292,25 @@ def oracle_sources_via_blowup(d, partition):
     witness = {a for a, b in zip(core, blocks) if b & qb}
     witness |= {v for v in sources if not blocks[label[kept[v]]] & covered}
     return frozenset(witness - {v for v in witness & sources if adj[v] & witness})
+
+
+def oracle_relabellings(d):
+    """Every relabelling of d, one per permutation p of its vertices (arc
+    u -> v becomes p[u] -> p[v]), each rebuilt by ``Digraph.from_arcs``."""
+    from quasikernel import Digraph
+
+    return [Digraph.from_arcs(d.n, [(p[u], p[v]) for u, v in d.arcs()])
+            for p in itertools.permutations(range(d.n))]
+
+
+def oracle_least_code(d):
+    """Least adjacency code over all relabellings of d: the code of the
+    representative its isomorphism class should have in a class stream."""
+    from quasikernel.digraph import adjacency_code
+
+    return min(adjacency_code(e) for e in oracle_relabellings(d))
+
+
+def oracle_automorphism_count(d):
+    """|Aut(d)|: the relabellings that give d back."""
+    return sum(1 for e in oracle_relabellings(d) if e == d)

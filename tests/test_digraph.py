@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from quasikernel import (
 )
 from quasikernel.digraph import (
     adjacency_code,
-    canonical_form,
     check_partition,
     compress_set,
     digraph_from_code,
@@ -43,7 +43,7 @@ from quasikernel.reductions import add_source_gadget, c3_blowup, weighted_blowup
 from quasikernel.solvers import is_kernel, is_quasi_kernel, large_score, sharp_score
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
+from conftest import all_digraphs, dg, least_codes, mask_to_set, set_to_mask, seeded_digraphs
 
 
 def codes(n):
@@ -279,7 +279,7 @@ def test_odd_dicycle_free_matches_oracle_n6_to_n8(d):
 
 
 # ---------------------------------------------------------------------------
-# codes, canonical forms, enumeration
+# codes, enumeration, isomorphism classes
 
 
 @given(digraphs)
@@ -299,10 +299,26 @@ def test_enumeration_is_in_code_order_and_complete(n):
     labeled = list(enumerate_digraphs(n))
     sink_free = list(enumerate_digraphs(n, sink_free=True))
     canonical = list(enumerate_digraphs(n, canonical=True))
+    sink_free_canonical = list(enumerate_digraphs(n, sink_free=True, canonical=True))
+    least = [d for code, d in enumerate(every) if least_codes(n)[code] == code]
     assert labeled == every
     assert sink_free == [d for d in every if is_sink_free(d)]
-    assert canonical == [d for d in every if adjacency_code(d) == canonical_form(d)]
-    assert all(d.n == n for d in every + labeled + sink_free + canonical)
+    assert canonical == least
+    assert sink_free_canonical == [d for d in least if is_sink_free(d)]
+    assert all(d.n == n for d in every + labeled + sink_free + canonical + sink_free_canonical)
+
+
+@pytest.mark.parametrize("n", [*range(5), pytest.param(5, marks=pytest.mark.slow)])
+def test_class_streams_stand_for_every_labeled_digraph(n):
+    # orbit-stabiliser: a class with automorphism group Aut(D) holds
+    # n!/|Aut(D)| labeled digraphs, so the classes' sizes add up to the
+    # labeled stream, 2^(n(n-1)), and to the sink-free one, (2^(n-1) - 1)^n
+    def labeled_total(stream):
+        return sum(math.factorial(n) // oracles.oracle_automorphism_count(d) for d in stream)
+
+    assert labeled_total(enumerate_digraphs(n, canonical=True)) == 2 ** (n * (n - 1))
+    assert (labeled_total(enumerate_digraphs(n, sink_free=True, canonical=True))
+            == (Fraction(2) ** (n - 1) - 1) ** n)
 
 
 @pytest.mark.parametrize("n,total,sink_free_total", [
@@ -317,10 +333,22 @@ def test_enumeration_counts(n, total, sink_free_total):
     assert sum(1 for _ in enumerate_digraphs(n, sink_free=True)) == sink_free_total
 
 
+def _class_counts(n):
+    return (sum(1 for _ in enumerate_digraphs(n, canonical=True)),
+            sum(1 for _ in enumerate_digraphs(n, sink_free=True, canonical=True)))
+
+
 def test_unlabeled_counts_match_the_literature():
-    # numbers of digraphs on n unlabeled vertices: 1, 1, 3, 16, 218
-    got = [sum(1 for _ in enumerate_digraphs(n, canonical=True)) for n in range(5)]
-    assert got == [1, 1, 3, 16, 218]
+    # numbers of digraphs on n unlabeled vertices (OEIS A000273): 1, 1, 3,
+    # 16, 218; the sink-free classes are pinned by the orbit sums above
+    got = [_class_counts(n) for n in range(5)]
+    assert got == [(1, 1), (1, 0), (3, 1), (16, 7), (218, 126)]
+
+
+@pytest.mark.slow
+def test_unlabeled_counts_n5():
+    # A000273 gives 9,608 classes on five vertices
+    assert _class_counts(5) == (9608, 6874)
 
 
 def test_enumeration_budgets():
@@ -330,22 +358,6 @@ def test_enumeration_budgets():
         next(enumerate_digraphs(6, canonical=True))
     with pytest.raises(BudgetExceededError):
         next(enumerate_digraphs(7, canonical=True))
-    with pytest.raises(BudgetExceededError):
-        canonical_form(Digraph((0,) * 9))
-
-
-@given(digraphs, st.randoms(use_true_random=False))
-def test_canonical_form_is_permutation_invariant(d, rng):
-    perm = list(range(d.n))
-    rng.shuffle(perm)
-    relabeled = Digraph.from_arcs(d.n, [(perm[u], perm[v]) for u, v in d.arcs()])
-    assert canonical_form(relabeled) == canonical_form(d)
-    assert canonical_form(d) <= adjacency_code(d)
-
-
-def test_canonical_representative_is_fixed_point():
-    for d in enumerate_digraphs(3, canonical=True):
-        assert adjacency_code(d) == canonical_form(d)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from quasikernel import ConjectureSpec, Digraph, ParseError, merge_reports, sweep
+from quasikernel import ConjectureSpec, Digraph, ParseError, enumerate_digraphs, merge_reports, sweep
 from quasikernel.digraph import adjacency_code
 from quasikernel.generators import make, parse_family
 from quasikernel.harness import check, parse_alpha, report_to_csv, slack
 
-from conftest import all_digraphs, dg, mask_to_set
+from conftest import all_digraphs, dg, least_codes, mask_to_set
 from oracles import oracle_first_min_qk, oracle_max_large, oracle_max_sharp
 
 
@@ -184,6 +184,33 @@ def test_sweep_empty_and_trivial_corpus():
     assert rep.count == 0 and rep.min_slack is None and rep.extremal == ()
     rep = sweep([Digraph(())], SMALL_HALF, "c")
     assert rep.count == 1 and rep.failures == () and rep.min_slack is None
+
+
+@pytest.mark.parametrize("alpha", [HALF, Fraction(1, 3), Fraction(1)])
+@pytest.mark.parametrize("variant", ["small", "sources", "large", "sharp"])
+def test_class_sweeps_agree_with_labeled_sweeps(variant, alpha):
+    # every objective is invariant under relabelling, so each labeled
+    # digraph must get its class representative's objective and verdict:
+    # this cross-checks the class stream and the solvers on each other.
+    # Nothing fails at 1/2 or 1/3 for n <= 4; at 1 most digraphs do.
+    spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
+    for n in range(5):
+        labeled = sweep(enumerate_digraphs(n, sink_free=spec.sink_free_version), spec, "l",
+                        keep_records=True)
+        classes = sweep(enumerate_digraphs(n, sink_free=spec.sink_free_version, canonical=True),
+                        spec, "c", keep_records=True)
+
+        def class_codes(records):
+            return {least_codes(n)[int(r.code_hex, 16)] for r in records}
+
+        rep = {int(r.code_hex, 16): r for r in classes.records}
+        assert set(rep) == class_codes(classes.records) and len(rep) == classes.count
+        for r in labeled.records:
+            cls = rep[least_codes(n)[int(r.code_hex, 16)]]
+            assert (r.objective, r.bound, r.passed) == (cls.objective, cls.bound, cls.passed)
+        assert classes.min_slack == labeled.min_slack
+        assert class_codes(labeled.failures) == class_codes(classes.failures)
+        assert class_codes(labeled.extremal) == class_codes(classes.extremal)
 
 
 def test_sweep_keep_records_and_csv(two_cycle):
