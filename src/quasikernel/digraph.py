@@ -103,7 +103,13 @@ def check_order(n: int) -> None:
 @dataclass(frozen=True)
 class Digraph:
     """Loop-free digraph with bit-row adjacency, built from its out-rows;
-    its order ``n`` is ``len(rows)``, at most 63."""
+    its order ``n`` is ``len(rows)``, at most 63.
+
+    ``Digraph(rows)`` validates every row: the order, bits outside
+    ``0..n-1`` and self-loops.  Every reader of outside input (``parse``, the
+    JSON reader, ``digraph_from_code``, ``from_arcs``) and every construction
+    goes through it.  Only ``enumerate_digraphs`` assembles digraphs without
+    the per-row checks, from table rows it has checked once each."""
 
     rows: tuple[int, ...]
 
@@ -118,6 +124,14 @@ class Digraph:
                 raise ValueError(f"row {v} has bits outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+
+    @classmethod
+    def _from_checked_rows(cls, rows: tuple[int, ...]) -> "Digraph":
+        """The digraph of a rows tuple already known to pass ``__post_init__``;
+        the instance state is the same as ``Digraph(rows)``'s."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "rows", rows)
+        return d
 
     @property
     def n(self) -> int:
@@ -354,10 +368,14 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
     produced (generated directly, not by filtering).  With ``canonical=True``
     only the least-code representative of each isomorphism class is yielded:
     the stream keeps one byte per code (2^(n(n-1)) bytes: 4 KiB at n = 4,
-    1 MiB at n = 5), skips every code already marked, and on reaching an
-    unmarked code -- the least of its class, since codes come in increasing
-    order -- marks the codes of all n! relabellings and yields the digraph.
-    So the n! walk runs once per class, never once per code.
+    1 MiB at n = 5) and walks the codes themselves, skipping every code
+    already marked without building its digraph.  On reaching an unmarked
+    code -- the least of its class, since codes come in increasing order --
+    it marks the codes of all n! relabellings and yields the digraph.  So the
+    n! walk runs once per class, never once per code.
+    Rows are validated once per table row (each vertex's candidate out-rows,
+    n 2^(n-1) of them), by the public constructor; the yielded digraphs are
+    assembled from those rows without re-checking them.
     The stream order is deterministic, so consumers may split work by index.
     Every stream raises ``BudgetExceededError`` for n outside 0..ENUMERATE_ALL_BUDGET.
     """
@@ -366,25 +384,37 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
     # One tuple of candidate out-rows per vertex, vertex n-1 first: its chunk
     # holds the most significant code bits, and _row_from_chunk is increasing
     # in the chunk, so the product runs in increasing code order.
-    first = 1 if sink_free else 0  # a sink-free row has at least one arc
-    tables = [tuple(_row_from_chunk(u, c) for c in range(first, 1 << (n - 1))) for u in reversed(range(n))]
-    if canonical:
-        marked = bytearray(1 << (n * (n - 1)))
-        perms = tuple(itertools.permutations(range(n)))
-        w = n - 1
-    for rows in itertools.product(*tables):
-        d = Digraph(rows[::-1])
-        if canonical:
-            if marked[adjacency_code(d)]:
-                continue
-            arcs = tuple(d.arcs())
-            for perm in perms:
-                code = 0
-                for u, v in arcs:
-                    pu = perm[u]
-                    pv = perm[v]
-                    code |= 1 << (pu * w + (pv if pv < pu else pv - 1))
-                marked[code] = 1
+    w = max(n - 1, 0)
+    chunks = range(1 if sink_free else 0, 1 << w)  # a sink-free row has at least one arc
+    tables = [tuple(_row_from_chunk(u, c) for c in chunks) for u in reversed(range(n))]
+    # Digraph(rows) checks each row on its own, so a row that passes alone,
+    # in an otherwise edgeless digraph, passes in every product of the tables.
+    for u, table in zip(reversed(range(n)), tables):
+        for row in table:
+            Digraph(tuple(row if v == u else 0 for v in range(n)))
+    build = Digraph._from_checked_rows
+    if not canonical:
+        for rows in itertools.product(*tables):
+            yield build(rows[::-1])
+        return
+    # The same product over each vertex's code bits, summed into the code.
+    shifted = [tuple(c << (u * w) for c in chunks) for u in reversed(range(n))]
+    by_vertex = tables[::-1]
+    chunk_mask = (1 << w) - 1
+    marked = bytearray(1 << (n * w))
+    perms = tuple(itertools.permutations(range(n)))
+    for code in map(sum, itertools.product(*shifted)):
+        if marked[code]:
+            continue
+        d = build(tuple(by_vertex[u][(code >> (u * w) & chunk_mask) - chunks.start] for u in range(n)))
+        arcs = tuple(d.arcs())
+        for perm in perms:
+            image = 0
+            for u, v in arcs:
+                pu = perm[u]
+                pv = perm[v]
+                image |= 1 << (pu * w + (pv if pv < pu else pv - 1))
+            marked[image] = 1
         yield d
 
 

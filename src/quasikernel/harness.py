@@ -9,9 +9,11 @@ Four bound variants over a probe ratio alpha = p/q (exact rational):
 * sharp   -- max over quasi-kernels of |Q| + 2|n_minus_set(Q)| >= alpha n,
              tracked doubled so everything stays integral.
 
-All pass/fail decisions are exact integer cross-multiplications; slack is an
-exact Fraction normalized by n (n = 0 digraphs never enter the extremal
-race).  For alpha <= 1/2 the small and large bounds cannot both fail on one
+All pass/fail decisions are exact integer cross-multiplications.  Slack is
+the margin to the bound normalized by n (n = 0 digraphs never enter the
+extremal race); a sweep ranks it as an integer pair (numerator, positive
+denominator) by cross-multiplication and reports the least as a Fraction.
+For alpha <= 1/2 the small and large bounds cannot both fail on one
 digraph, and the sweep enforces that as a bug trap.
 """
 
@@ -144,12 +146,19 @@ def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
 def slack(record: CheckRecord, spec: ConjectureSpec) -> Fraction | None:
     """Margin to the bound, normalized by n; nonnegative iff the check
     passed.  None on the empty digraph."""
-    if record.n == 0:
+    pair = _slack_pair(record, _VARIANTS[spec.variant].minimise)
+    return None if pair is None else Fraction(*pair)
+
+
+def _slack_pair(record: CheckRecord, minimise: bool) -> tuple[int, int] | None:
+    """``slack`` as an unreduced (numerator, positive denominator) pair."""
+    n = record.n
+    if n == 0:
         return None
-    diff = Fraction(record.objective) - record.bound
-    if _VARIANTS[spec.variant].minimise:
-        diff = -diff
-    return diff / record.n
+    bound = record.bound
+    den = bound.denominator
+    diff = record.objective * den - bound.numerator
+    return (-diff if minimise else diff), den * n
 
 
 @dataclass(frozen=True)
@@ -195,9 +204,10 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     """
     if shard_count < 1 or not 0 <= shard_index < shard_count:
         raise ValueError(f"bad shard {shard_index}/{shard_count}")
+    minimise = _VARIANTS[spec.variant].minimise
     count = 0
     failures: list[CheckRecord] = []
-    min_sl: Fraction | None = None
+    min_num = min_den = None  # the least slack so far, as min_num / min_den
     extremal: list[CheckRecord] = []
     records: list[CheckRecord] = []
     for d in itertools.islice(digraphs, shard_index, None, shard_count):
@@ -208,13 +218,15 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
         if not rec.passed:
             failures.append(rec)
             _assert_small_large_disjunction(d, spec)
-        sl = slack(rec, spec)
-        if sl is not None:
-            if min_sl is None or sl < min_sl:
-                min_sl = sl
+        pair = _slack_pair(rec, minimise)
+        if pair is not None:
+            num, den = pair
+            if min_num is None or num * min_den < min_num * den:
+                min_num, min_den = pair
                 extremal = [rec]
-            elif sl == min_sl:
+            elif num * min_den == min_num * den:
                 extremal.append(rec)
+    min_sl = None if min_num is None else Fraction(min_num, min_den)
     return Report(corpus, spec, shard_count, (shard_index,), count,
                   tuple(failures), min_sl, tuple(extremal), tuple(records))
 

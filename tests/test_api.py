@@ -113,3 +113,33 @@ def test_order_limit_and_row_union_live_in_one_module():
     assert [p for p, (named, _) in scans.items() if "MAX_VERTICES" in named] == ["src/quasikernel/digraph.py"]
     assert [p for p, (_, defined) in scans.items() for name in defined if name == "_row_union"] == [
         "src/quasikernel/digraph.py"]
+
+
+def _readers_of(path: Path, name: str) -> list[str]:
+    """The dotted names of the functions (or ``<module>``) whose bodies read
+    ``name`` as a variable or an attribute."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_unchecked_construction_stays_in_the_stream():
+    # Digraph._from_checked_rows skips the row checks, so only the stream,
+    # whose rows come from tables it checked once each, may call it; every
+    # input reader and construction keeps the validating constructor
+    paths = [*ROOT.glob("src/quasikernel/*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("perfbench/*.py")]
+    readers = {p.relative_to(ROOT).as_posix(): scopes for p in paths
+               if (scopes := _readers_of(p, "_from_checked_rows"))}
+    assert readers == {"src/quasikernel/digraph.py": ["enumerate_digraphs"]}

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -373,6 +374,36 @@ def test_sweep_canonical(capsys):
     obj = json.loads(out)
     assert obj["corpus"] == "labeled:n=3:canonical"
     assert obj["count"] == 16
+
+
+# sha256 of n = 4 sweep reports: a change to how fast a sweep runs must not
+# move a byte of what it prints
+@pytest.mark.parametrize("args,digest", [
+    pytest.param(["small", "--sink-free", "--records"],
+                 "22b0d113510c4d0fe47e49a673cb5750efa6b9424694ee9548ae4dc5479268b7", id="small-sink-free-json"),
+    pytest.param(["small", "--sink-free", "--format", "csv"],
+                 "2e339a47932c2f2a148d4b214bdf094b853f0909bc1c967a214581377f5ba540", id="small-sink-free-csv"),
+    pytest.param(["sources", "--records"],
+                 "f2f51fd5d83a996ce0b02836a9c23e71676ef91a3c3584e42fa05345fad8e942", id="sources-json"),
+    pytest.param(["sources", "--format", "csv"],
+                 "104d616f6d73042af4573ad2d3018ef5f6917bd994de883cf68a050389d04115", id="sources-csv"),
+    pytest.param(["large", "--records"],
+                 "e00ffd7e02e0cfbad6bb63d15804eac6958f8e5bb905ff3c22ee8592e865d857", id="large-json"),
+    pytest.param(["large", "--format", "csv"],
+                 "344431dc8bd94985153454fa6c06feca93819e2abce18e7b71cd22a38b14761b", id="large-csv"),
+    pytest.param(["sharp", "--records"],
+                 "6e6b319d8a6d7b0bf692102b99a7d276bd675f3d7ea141e11b543a0f3baa797e", id="sharp-json"),
+    pytest.param(["sharp", "--format", "csv"],
+                 "d6b6ea01e0f5cea55904455883e7bd0c332fc590c4c1cf395363529fbf77f651", id="sharp-csv"),
+    pytest.param(["large", "--canonical", "--records"],
+                 "62eceba572298e2ffbb8ef63133865a103c6716d601541ca3432bd68f05f65bf", id="large-canonical-json"),
+    pytest.param(["large", "--canonical", "--format", "csv"],
+                 "cb05d5e447e58697f4987960af046bb7f520bc75154375da4823a5a1325135b8", id="large-canonical-csv"),
+])
+def test_sweep_n4_report_bytes_are_pinned(capsys, args, digest):
+    code, out, err = run(capsys, ["sweep", "--n", "4", "--alpha", "1/2", "--conjecture", *args])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sweep_rejects_bad_shard(capsys):

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import itertools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -306,6 +309,32 @@ def test_enumeration_is_in_code_order_and_complete(n):
     assert canonical == least
     assert sink_free_canonical == [d for d in least if is_sink_free(d)]
     assert all(d.n == n for d in every + labeled + sink_free + canonical + sink_free_canonical)
+
+
+def _same_as_validated(d, validated):
+    assert type(d) is Digraph
+    assert vars(d) == vars(validated)  # before any cached property fills in
+    assert d == validated
+    assert (hash(d), repr(d)) == (hash(validated), repr(validated))
+    assert (d.in_rows, d.vertex_mask) == (validated.in_rows, validated.vertex_mask)
+    for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d)):
+        assert type(twin) is Digraph and twin == d and twin.in_rows == d.in_rows
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_stream_digraphs_are_indistinguishable_from_validated_ones(n):
+    # the streams assemble digraphs from table rows they checked once each;
+    # every such digraph must be the one Digraph(rows) builds
+    for sink_free, canonical in itertools.product((False, True), repeat=2):
+        for d in enumerate_digraphs(n, sink_free=sink_free, canonical=canonical):
+            _same_as_validated(d, Digraph(d.rows))
+
+
+def test_n5_stream_digraphs_are_indistinguishable_from_decoded_ones():
+    for sink_free in (False, True):
+        sample = itertools.islice(enumerate_digraphs(5, sink_free=sink_free), 0, None, 31)
+        for d in sample:
+            _same_as_validated(d, digraph_from_code(5, adjacency_code(d)))
 
 
 @pytest.mark.parametrize("n", [*range(5), pytest.param(5, marks=pytest.mark.slow)])

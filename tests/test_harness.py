@@ -213,6 +213,40 @@ def test_class_sweeps_agree_with_labeled_sweeps(variant, alpha):
         assert class_codes(labeled.extremal) == class_codes(classes.extremal)
 
 
+def _record_key(record):
+    return record.n, int(record.code_hex, 16)
+
+
+def _assert_ranked_as_fractions(digraphs, spec):
+    """The sweep's least slack and extremal records are those of slack()'s
+    Fractions, and three shards of the corpus merge back into the sweep."""
+    whole = sweep(digraphs, spec, "c", keep_records=True)
+    ranked = [(r, slack(r, spec)) for r in whole.records if r.n]
+    least = min((sl for _, sl in ranked), default=None)
+    assert whole.min_slack == least
+    assert least is None or type(whole.min_slack) is Fraction
+    assert whole.extremal == tuple(r for r, sl in ranked if sl == least)
+    left, mid, right = (sweep(digraphs, spec, "c", shard_count=3, shard_index=i, keep_records=True)
+                        for i in range(3))
+    merged = merge_reports(merge_reports(left, mid), right)
+    assert _aggregate(merged) == _aggregate(whole)
+    assert sorted(merged.records, key=_record_key) == sorted(whole.records, key=_record_key)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1)])
+@pytest.mark.parametrize("variant", ["small", "sources", "large", "sharp"])
+def test_sweep_ranks_slack_exactly_as_fraction_slack(variant, alpha):
+    # the sweep ranks slack as unreduced integer pairs; one corpus of all the
+    # streams mixes orders, so equal numerators meet different denominators
+    spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
+    streams = [list(enumerate_digraphs(n, sink_free=sink_free, canonical=canonical))
+               for n in range(5) for canonical in (False, True)
+               for sink_free in {spec.sink_free_version, True}]
+    for stream in streams:
+        _assert_ranked_as_fractions(stream, spec)
+    _assert_ranked_as_fractions([d for stream in streams for d in stream], spec)
+
+
 def test_sweep_keep_records_and_csv(two_cycle):
     spec = ConjectureSpec("large", HALF)
     rep = sweep([two_cycle], spec, "c", keep_records=True)
