@@ -74,14 +74,17 @@ def _read_digraph(path: str) -> Digraph:
     return parse(text)
 
 
-def _parse_set(text: str) -> int:
+def _parse_set(text: str, n: int) -> int:
     text = text.strip()
     if not text:
         return 0
     try:
-        return mask_of(_decimal(tok.strip()) for tok in text.split(","))
+        vertices = [_decimal(tok.strip()) for tok in text.split(",")]
     except ValueError:
         raise ParseError(f"bad vertex list {text!r}: expected comma-separated integers") from None
+    if max(vertices) >= n:  # before mask_of shifts by a huge index
+        raise ValueError(f"vertex set has bits outside 0..{n - 1}: vertex {max(vertices)}")
+    return mask_of(vertices)
 
 
 def _solved(res):
@@ -120,7 +123,7 @@ SOLVERS = {
         large_qk_from_partition(d, _partition(d), check_parts=False)),
     "partition-sources": lambda d, args: _solved(
         small_qk_with_sources(d, _partition(d), check_parts=False)),
-    "covering": lambda d, args: _sized(quasi_kernel_covering(d, _parse_set(args.set))),
+    "covering": lambda d, args: _sized(quasi_kernel_covering(d, _parse_set(args.set, d.n))),
 }
 
 

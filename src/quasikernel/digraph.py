@@ -52,6 +52,8 @@ def vertices_of(mask: int) -> tuple[int, ...]:
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a mask in ascending order."""
+    if mask < 0:
+        raise ValueError("a negative mask has no finite set of bits")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -179,8 +181,10 @@ class Digraph:
 
 def check_set(d: Digraph, mask: int) -> None:
     """Reject masks with bits outside 0..n-1 (or negative masks)."""
-    if mask < 0 or mask & ~d.vertex_mask:
-        raise ValueError(f"vertex set {bin(mask)} has bits outside 0..{d.n - 1}")
+    if mask < 0:
+        raise ValueError(f"negative vertex set has bits outside 0..{d.n - 1}")
+    if mask & ~d.vertex_mask:
+        raise ValueError(f"vertex set has bits outside 0..{d.n - 1}: vertex {mask.bit_length() - 1}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ digraph, and the sweep enforces that as a bug trap.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
@@ -202,7 +203,8 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     ``shard_count``.  Shards of the same deterministic stream are disjoint
     and merge_reports reassembles them exactly.
     """
-    if shard_count < 1 or not 0 <= shard_index < shard_count:
+    # islice takes a step of at most sys.maxsize
+    if not 1 <= shard_count <= sys.maxsize or not 0 <= shard_index < shard_count:
         raise ValueError(f"bad shard {shard_index}/{shard_count}")
     minimise = _VARIANTS[spec.variant].minimise
     count = 0

@@ -6,20 +6,21 @@ to two steps.  Kernels can be absent (the directed triangle); quasi-kernels
 always exist in a finite digraph, so an exhausted search is a bug, not a
 result.
 
-Everything here is exhaustive and exact, sized for a desk, and identical runs
-give identical output.  One ordered search lists quasi-kernels: it branches
-on the vertices from the top down, excluding before including, so it yields
-masks in ascending order, and it builds only independent sets of at most a
-given size.  A branch is cut when what it covers plus what the vertices
-below its top free vertex could reach misses a vertex.  Enumeration takes
-every yield; the minimum search tries one vertex, then caps k = 2, 3, ...,
-and its first yield is the least mask of the least size.  Kernels, heavy
-independent sets and maximum (large, sharp) quasi-kernels are maximal
-independent sets Q.  Bron--Kerbosch with Tomita pivoting lists each with
-N^-(Q) and N^+(Q), and those searches keep the set with the least key, one
-expression over the three (size, or negated score), ties to the least mask:
-still the first optimum over all masks.  Large and sharp witnesses are
-re-scored once by definition.
+Everything here is exact, identical runs give identical output, and each
+search raises ``BudgetExceededError`` above the largest order at which the
+corpus of ``tests/test_budgets.py`` finishes within 2 s a call (2-vCPU VM).
+One ordered search lists quasi-kernels: it branches on the vertices from the
+top down, excluding before including, so it yields masks in ascending order,
+and it builds only independent sets of at most a given size.  A branch is cut
+when what it covers plus what the vertices below its top free vertex could
+reach misses a vertex.  Enumeration takes every yield; the minimum search
+tries one vertex, then caps k = 2, 3, ..., and its first yield is the least
+mask of the least size.  Kernels, heavy independent sets and maximum (large,
+sharp) quasi-kernels are maximal independent sets Q.  Bron--Kerbosch with
+Tomita pivoting lists each with N^-(Q) and N^+(Q), and those searches keep
+the set with the least key, one expression over the three (size, or negated
+score), ties to the least mask: still the first optimum over all masks.
+Large and sharp witnesses are re-scored once by definition.
 The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
 adding the vertices in ascending order.  They test only the parts the walk
 builds, one vertex at a time: a predicate says whether a valid part plus the
@@ -29,7 +30,8 @@ search.  Kernel-perfectness accepts a sink or a source at once, accepts when
 no odd closed walk runs through the new vertex (Richardson's theorem), and
 otherwise checks the subsets of its strong component that contain it.  The
 returned parts are re-checked to cover the vertex set without overlap, and
-acyclic and independent parts to be of their kind.
+acyclic and independent parts to be of their kind.  Free vertices below a
+core that fails multiply a pass below the answer; they set PARTITION_BUDGET.
 
 ``kernel_perfect_number`` is the least k with a partition into kernel-perfect
 parts; it is bounded above by the dichromatic number (acyclic parts) which is
@@ -56,8 +58,7 @@ from .digraph import (
 )
 from .exceptions import BudgetExceededError, PostconditionViolationError
 
-KERNEL_PERFECT_BUDGET = 16
-PARTITION_BUDGET = 12
+PARTITION_BUDGET = 13
 ENUMERATION_BUDGET = 20
 MIN_QK_BUDGET = 32
 MIS_BUDGET = 32
@@ -344,7 +345,12 @@ def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
 
 def quasi_kernels(d: Digraph):
     """Yield every quasi-kernel mask in ascending numeric order, each
-    re-checked against ``is_quasi_kernel`` before it is yielded."""
+    re-checked against ``is_quasi_kernel`` before it is yielded.
+
+    Not output-sensitive: the star into a sink (u -> 0 for all u >= 1) has
+    one quasi-kernel yet costs about 2^(n-1) nodes, and 0 -> 1 plus u -> 0
+    (u >= 2) has 2^(n-2); at n = ENUMERATION_BUDGET, about 0.3 and 1.6 s.
+    """
     if d.n > ENUMERATION_BUDGET:
         raise BudgetExceededError(f"quasi-kernel enumeration budget is n <= {ENUMERATION_BUDGET}")
     reach = _reach_table(d.in_rows)
@@ -431,9 +437,9 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     N^-(K), so each independent K inside S marks an interval of subsets.
     Only the sets that contain v are marked, so only a K holding v or an
     out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
-    The marks are indexed by mask, so the table has S + 1 entries: callers
-    keep the labels small (the partition searches have n <= PARTITION_BUDGET
-    and ``is_kernel_perfect`` relabels S to 0..|S|-1).
+    The marks are indexed by mask, so the table has S + 1 entries, at most
+    2^PARTITION_BUDGET bytes: the partition searches stop at that order and
+    ``is_kernel_perfect`` relabels S to 0..|S|-1.
     """
     bit = 1 << v
     hits = rows[v] & s | bit
@@ -508,22 +514,15 @@ def _kernel_perfect_extends(d: Digraph):
 def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
-    Kernel-perfectness is hereditary, so S is kernel-perfect iff adding its
-    vertices one at a time through the partition searches' predicate is
-    accepted at every step.  S is relabelled to 0..|S|-1 first, so the
-    predicate's masks stay below 2^|S| whatever the labels of S.
+    This is the k = 1 pass of ``kernel_perfect_number``'s search, under its
+    budget, on S relabelled to 0..|S|-1, so the predicate's masks stay below
+    2^|S| whatever the labels of S.
     """
     check_set(d, s)
-    if s.bit_count() > KERNEL_PERFECT_BUDGET:
-        raise BudgetExceededError(f"kernel-perfect check budget is |S| <= {KERNEL_PERFECT_BUDGET}")
+    if s.bit_count() > PARTITION_BUDGET:
+        raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
     sub, _ = induced(d, s)
-    ok = _kernel_perfect_extends(sub)
-    part = 0
-    for v in range(sub.n):
-        if not ok(part, v):
-            return False
-        part |= 1 << v
-    return True
+    return not s or _rgs_assign(0, 0, sub.n, 1, [0], _kernel_perfect_extends(sub))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,14 @@ def test_solve_covering(capsys, c4_file, c3_file):
     assert code == 1 and err.startswith("qk: error:")
 
 
+def test_covering_rejects_a_huge_index_in_one_short_line(capsys, c4_file):
+    code, out, err = run(capsys, ["solve", "--alg", "covering", "--set", "0,100000000",
+                                  "--input", c4_file])
+    assert (code, out) == (1, "")
+    assert err == "qk: error: vertex set has bits outside 0..3: vertex 100000000\n"
+    assert len(err.encode()) < 200
+
+
 def test_solve_partition_small_trace(capsys, c4_file):
     code, out, _ = run(capsys, ["solve", "--alg", "partition-small",
                                 "--input", c4_file, "--trace"])
@@ -410,6 +418,13 @@ def test_sweep_rejects_bad_shard(capsys):
     code, _, err = run(capsys, ["sweep", "--n", "2", "--conjecture", "large",
                                 "--alpha", "1/2", "--shards", "2", "--shard", "2"])
     assert code == 1 and err.startswith("qk: error:")
+
+
+def test_sweep_rejects_a_shard_count_beyond_sys_maxsize(capsys):
+    count = str(sys.maxsize + 1)
+    code, out, err = run(capsys, ["sweep", "--n", "2", "--conjecture", "large",
+                                  "--alpha", "1/2", "--shards", count])
+    assert (code, out, err) == (1, "", f"qk: error: bad shard 0/{count}\n")
 
 
 @pytest.mark.parametrize("flag,extra", [

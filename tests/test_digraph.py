@@ -1,8 +1,10 @@
+import contextlib
 import copy
 import dataclasses
 import itertools
 import math
 import pickle
+import signal
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from quasikernel import (
     ParseError,
     Partition,
     enumerate_digraphs,
+    iter_bits,
     mask_of,
     parse,
     vertices_of,
@@ -180,6 +183,35 @@ def test_set_arguments_are_validated(takes_mask, mask):
     d = dg(2, [(0, 1)])
     with pytest.raises(ValueError, match="has bits outside 0..1"):
         takes_mask(d, mask)
+
+
+def test_set_errors_name_the_top_vertex_not_the_mask():
+    with pytest.raises(ValueError) as excinfo:
+        n_plus_set(dg(2, [(0, 1)]), 1 << 1_000_000 | 1)
+    assert str(excinfo.value) == "vertex set has bits outside 0..1: vertex 1000000"
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Raise TimeoutError inside the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_negative_masks_are_rejected_not_walked():
+    # a negative int has infinitely many set bits, so a bit walk never ends
+    with pytest.raises(ValueError, match="negative mask"):
+        list(itertools.islice(iter_bits(-1), 100))
+    with _within(5), pytest.raises(ValueError, match="negative mask"):
+        vertices_of(-1)
 
 
 # ---------------------------------------------------------------------------

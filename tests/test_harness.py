@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,12 @@ def test_sharp_is_tight_on_circulant_five():
 def _aggregate(rep):
     return (rep.count, rep.min_slack, sorted(r.code_hex for r in rep.extremal),
             sorted(r.code_hex for r in rep.failures))
+
+
+def test_sweep_takes_shard_counts_up_to_sys_maxsize():
+    assert sweep(iter([]), SMALL_HALF, "c", shard_count=sys.maxsize).count == 0
+    with pytest.raises(ValueError, match="^bad shard 0/"):
+        sweep(iter([]), SMALL_HALF, "c", shard_count=sys.maxsize + 1)
 
 
 def test_merge_reassembles_shards():

@@ -335,6 +335,12 @@ def test_quasi_kernels_rechecks_each_mask(monkeypatch, c4):
         list(quasi_kernels(c4))
 
 
+def test_quasi_kernels_star_into_a_sink_at_the_budget():
+    # {0} is the only quasi-kernel, yet the search walks about 2^(n-1) nodes
+    n = solvers.ENUMERATION_BUDGET
+    assert list(quasi_kernels(dg(n, [(u, 0) for u in range(1, n)]))) == [1]
+
+
 def test_quasi_kernels_budget():
     with pytest.raises(BudgetExceededError, match="^quasi-kernel enumeration budget is n <= 20$"):
         next(quasi_kernels(Digraph((0,) * 21)))
@@ -388,9 +394,12 @@ def test_is_kernel_perfect_on_high_labels():
 
 
 def test_is_kernel_perfect_budget():
-    d = Digraph((0,) * 17)
-    with pytest.raises(BudgetExceededError):
-        is_kernel_perfect(d, d.vertex_mask)
+    # a complete symmetric digraph is kernel-perfect: every vertex is a kernel
+    n = solvers.PARTITION_BUDGET
+    d = make(parse_family(f"union:edgeless:7,random:{n}:1/1:0"))
+    assert is_kernel_perfect(d, d.vertex_mask & ~0b1111111)
+    with pytest.raises(BudgetExceededError, match=f"^partition search budget is n <= {n}$"):
+        is_kernel_perfect(d, d.vertex_mask & ~0b111111)
 
 
 def test_kernel_perfect_number_golden(c3, c4):
@@ -414,9 +423,18 @@ def test_kernel_perfect_number_matches_oracle(code):
 
 
 def test_partition_budgets():
-    big = Digraph((0,) * 13)
+    # a triangle needs two kernel-perfect parts and so does the circulant
+    # 5-tournament; the complete symmetric 5-vertex digraph needs one
+    # kernel-perfect part, but five acyclic or independent ones
+    n = solvers.PARTITION_BUDGET
+    d = make(parse_family("union:cycle:3,circulant:5,random:5:1/1:0"))
+    assert d.n == n
+    k, partition = kernel_perfect_number(d)
+    assert k == 2 and all(is_kernel_perfect(d, part) for part in partition.parts)
+    assert dichromatic_number(d) == chromatic_number(d) == 5
+    big = Digraph((0,) * (n + 1))
     for fn in (kernel_perfect_number, chromatic_number, dichromatic_number):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=f"^partition search budget is n <= {n}$"):
             fn(big)
 
 
