@@ -22,16 +22,21 @@ the set with the least key, one expression over the three (size, or negated
 score), ties to the least mask: still the first optimum over all masks.
 Large and sharp witnesses are re-scored once by definition.
 The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
-adding the vertices in ascending order.  They test only the parts the walk
+adding the vertices in ascending order.  The two colouring numbers start at
+the size of a greedy clique instead, re-checked pairwise first: of the
+underlying graph for independent parts, of the digons for acyclic ones (and at
+least 2 if there is a dicycle).  The searches test only the parts the walk
 builds, one vertex at a time: a predicate says whether a valid part plus the
 next vertex is still valid, and pruning is sound because every part kind is
 hereditary.  Independence is one mask test and acyclicity one reachability
 search.  Kernel-perfectness accepts a sink or a source at once, accepts when
 no odd closed walk runs through the new vertex (Richardson's theorem), and
-otherwise checks the subsets of its strong component that contain it.  The
-returned parts are re-checked to cover the vertex set without overlap, and
-acyclic and independent parts to be of their kind.  Free vertices below a
-core that fails multiply a pass below the answer; they set PARTITION_BUDGET.
+otherwise marks, as bits of one int, the subsets of its strong component that
+contain it and have a kernel.  The returned parts are re-checked to cover the
+vertex set without overlap, and acyclic and independent parts to be of their
+kind.  Free vertices below a core that fails multiply each pass below the
+answer; when the clique bound is below the answer (Mycielski graphs), these
+passes still run, and such inputs are PARTITION_BUDGET's worst case.
 
 ``kernel_perfect_number`` is the least k with a partition into kernel-perfect
 parts; it is bounded above by the dichromatic number (acyclic parts) which is
@@ -437,26 +442,27 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     N^-(K), so each independent K inside S marks an interval of subsets.
     Only the sets that contain v are marked, so only a K holding v or an
     out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
-    The marks are indexed by mask, so the table has S + 1 entries, at most
-    2^PARTITION_BUDGET bytes: the partition searches stop at that order and
-    ``is_kernel_perfect`` relabels S to 0..|S|-1.
+    The marks are the bits of one int, indexed by mask: an interval is the
+    subset indicator of its free vertices, built by one shift per vertex and
+    shifted onto K + v.  So the int has at most 2^PARTITION_BUDGET bits:
+    the partition searches stop at that order and ``is_kernel_perfect``
+    relabels S to 0..|S|-1.
     """
     bit = 1 << v
     hits = rows[v] & s | bit
-    marked = bytearray(s + 1)
+    marked = 0
     stack = [(0, s, 0)]  # (independent K, vertices that may still join K, N^-(K))
     while stack:
         k, rest, dominated = stack.pop()
         free = dominated & s & ~k
         if k & bit or free & bit:
-            base = k | bit
             free &= ~bit
-            sub = free
-            while True:
-                marked[base | sub] = 1
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+            block = 1  # bit m is set for each subset m of free
+            while free:
+                low = free & -free
+                block |= block << low
+                free ^= low
+            marked |= block << (k | bit)
         while rest:
             low = rest & -rest
             rest ^= low
@@ -464,7 +470,7 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
             grow = rest & ~und[u]
             if (k | low | grow) & hits:
                 stack.append((k | low, grow, dominated | in_rows[u]))
-    return marked.count(1) == 1 << (s.bit_count() - 1)
+    return marked.bit_count() == 1 << (s.bit_count() - 1)
 
 
 def _kernel_perfect_extends(d: Digraph):
@@ -529,18 +535,20 @@ def is_kernel_perfect(d: Digraph, s: int) -> bool:
 # partition numbers
 
 
-def _min_partition_rgs(n: int, ok) -> tuple[int, tuple[int, ...]]:
-    """Least k admitting a partition into valid parts; first witness in
-    restricted-growth-string order.
+def _min_partition_rgs(n: int, ok, lower: int = 1) -> tuple[int, tuple[int, ...]]:
+    """Least k >= ``lower`` admitting a partition into valid parts; first
+    witness in restricted-growth-string order.
 
     ``ok(part, v)`` says whether a valid part plus the vertex v above all of
     its vertices is still valid.  Singletons must be valid (true for the
     three part kinds used here), so k = n always succeeds.  Validity must be
     hereditary, which justifies pruning as soon as a growing part fails.
+    Each pass is independent of the others, so starting at a ``lower`` no
+    larger than the answer only skips passes that would fail.
     """
     if n == 0:
         return 0, ()
-    for k in range(1, n + 1):
+    for k in range(lower, n + 1):
         parts = [0] * k
         if _rgs_assign(0, 0, n, k, parts, ok):
             return k, tuple(parts)
@@ -564,19 +572,62 @@ def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok) -> bool
     return False
 
 
-def _partition_number(d: Digraph, kind: str, extends, part_ok) -> tuple[int, Partition]:
+def _greedy_clique(adj: list[int]) -> int:
+    """The largest of the cliques grown from each seed vertex, ties to the
+    first seed: a seed takes its least remaining candidate until none is
+    left.  ``adj`` holds symmetric neighbour rows."""
+    best = 0
+    for v, row in enumerate(adj):
+        clique, cand = 1 << v, row
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        if clique.bit_count() > best.bit_count():
+            best = clique
+    return best
+
+
+def _clique_bound(adj: list[int]) -> int:
+    """|C| for the clique C of ``_greedy_clique``, re-checked pairwise
+    first: a bound above the answer would skip its pass unseen."""
+    clique = _greedy_clique(adj)
+    probe = clique
+    while probe:
+        low = probe & -probe
+        if clique & ~adj[low.bit_length() - 1] != low:
+            raise PostconditionViolationError("clique bound came from a set that is not a clique")
+        probe ^= low
+    return clique.bit_count()
+
+
+def _chromatic_bound(d: Digraph) -> int:
+    """A clique of the underlying graph needs one part per vertex."""
+    return _clique_bound(_underlying_rows(d))
+
+
+def _dichromatic_bound(d: Digraph) -> int:
+    """An acyclic part holds at most one vertex of a clique of digons, and
+    a digraph with a dicycle needs two parts."""
+    lower = _clique_bound([row & in_row for row, in_row in zip(d.rows, d.in_rows)])
+    return lower if lower > 1 or is_acyclic_set(d, d.vertex_mask) else 2
+
+
+def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tuple[int, Partition]:
     """Least number of parts of ``kind`` covering the vertex set, with the
     first certifying partition in restricted-growth order.
 
-    ``extends(d)`` is the search's predicate.  The parts are re-checked
-    before they are returned: that they partition the vertex set and, when
-    ``part_ok`` is given, that ``part_ok(d, part)`` holds for each one.
-    Kernel-perfect parts are not re-checked one by one; that check is as
-    exponential as the search.
+    ``extends(d)`` is the search's predicate.  ``bound(d)``, if given, is a
+    certified lower bound on the answer, and the search starts there.  The
+    parts are re-checked before they are returned: that they partition the
+    vertex set and, when ``part_ok`` is given, that ``part_ok(d, part)``
+    holds for each one.  Kernel-perfect parts are not re-checked one by
+    one; that check is as exponential as the search.
     """
     if d.n > PARTITION_BUDGET:
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
-    k, parts = _min_partition_rgs(d.n, extends(d))
+    lower = 1 if bound is None else bound(d)
+    k, parts = _min_partition_rgs(d.n, extends(d), lower)
     partition = Partition(parts, kind)
     try:
         check_partition(d, partition)
@@ -595,12 +646,12 @@ def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
 
 def chromatic_number(d: Digraph) -> int:
     """Chromatic number of the underlying undirected graph."""
-    return _partition_number(d, "independent", _independent_extends, is_independent)[0]
+    return _partition_number(d, "independent", _independent_extends, is_independent, _chromatic_bound)[0]
 
 
 def dichromatic_number(d: Digraph) -> int:
     """Least number of acyclic parts covering the vertex set."""
-    return _partition_number(d, "acyclic", _acyclic_extends, is_acyclic_set)[0]
+    return _partition_number(d, "acyclic", _acyclic_extends, is_acyclic_set, _dichromatic_bound)[0]
 
 
 # ---------------------------------------------------------------------------

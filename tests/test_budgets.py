@@ -12,9 +12,13 @@ one search or another:
   a parity orientation;
 * random digraphs with arc probability 1/8, 1/4 and 1/2;
 * padded cores: isolated vertices or a sparse random digraph on the low
-  labels, then a complete symmetric digraph on six.  The colouring searches
-  exhaust every placement of the low vertices before the core fails, and
-  these inputs set ``PARTITION_BUDGET``.
+  labels, then a complete symmetric digraph on six; and isolated vertices,
+  then the Groetzsch graph M4 in the parity orientation.  A colouring pass
+  below the answer exhausts every placement of the low vertices before the
+  core fails.  The complete symmetric core is a clique, so the colouring
+  searches start at their answer; M4 has clique number 2 and chromatic
+  number 4, so its failing passes stay, and it sets the chromatic search's
+  worst case.
 
 The quasi-kernel searches also get the enumeration's two worst known inputs
 (``ENUMERATION_EXTREMES``).
@@ -80,6 +84,9 @@ def corpus(n: int) -> dict[str, Digraph]:
     for k in (4, 5):
         members[f"mycielski M{k} acyclic"] = mycielski(k, n, False)
         members[f"mycielski M{k} parity"] = mycielski(k, n, True)
+    pad = max(n - 11, 0)
+    members["isolated then mycielski M4 parity"] = dg(
+        n, [(u + pad, w + pad) for u, w in mycielski(4, n - pad, True).arcs()])
     return members
 
 
@@ -152,6 +159,8 @@ def test_corpus_members_have_the_stated_order():
             assert d.n == n, name
     assert len(mycielski_edges(4)) == 20 and len(mycielski_edges(5)) == 71
     assert chromatic_number(mycielski(4, 11, True)) == 4
+    loose = corpus(13)["isolated then mycielski M4 parity"]
+    assert solvers._chromatic_bound(loose) == 2 and chromatic_number(loose) == 4
 
 
 @pytest.mark.slow

@@ -36,11 +36,15 @@ from quasikernel.generators import make, parse_family, random_digraph
 from quasikernel.solvers import (
     SolveResult,
     _acyclic_extends,
+    _chromatic_bound,
+    _dichromatic_bound,
+    _greedy_clique,
     _independent_extends,
     _kernel_perfect_extends,
     _kernel_perfect_through,
     _maximal_independent_sets,
     _partition_number,
+    _underlying_rows,
     check_set,
     is_kernel,
     is_kernel_perfect,
@@ -369,14 +373,26 @@ def test_is_kernel_perfect_matches_oracle_on_every_subset(d):
         assert is_kernel_perfect(d, s) == oracles.oracle_is_kernel_perfect(d, mask_to_set(s))
 
 
+def assert_kernel_perfect_through_matches_search(d):
+    """Against the has-kernel table of every subset, from ``find_kernel``."""
+    und = [d.rows[v] | d.in_rows[v] for v in range(d.n)]
+    subsets = range(1 << d.n)
+    has_kernel = [find_kernel(induced(d, t)[0]).witness is not None for t in subsets]
+    for s in subsets[1:]:
+        for v in vertices_of(s):
+            want = all(has_kernel[t] for t in subsets if t & ~s == 0 and t >> v & 1)
+            assert _kernel_perfect_through(d.rows, d.in_rows, und, s, v) == want
+
+
 def test_kernel_perfect_through_matches_search():
     for d in all_digraphs(3):
-        und = [d.rows[v] | d.in_rows[v] for v in range(d.n)]
-        has_kernel = [find_kernel(induced(d, t)[0]).witness is not None for t in range(8)]
-        for s in range(1, 8):
-            for v in vertices_of(s):
-                want = all(has_kernel[t] for t in range(8) if t & ~s == 0 and t >> v & 1)
-                assert _kernel_perfect_through(d.rows, d.in_rows, und, s, v) == want
+        assert_kernel_perfect_through_matches_search(d)
+
+
+@given(digraphs(5, 6))
+@settings(max_examples=30, deadline=None)
+def test_kernel_perfect_through_matches_search_n5_n6(d):
+    assert_kernel_perfect_through_matches_search(d)
 
 
 def test_odd_free_digraphs_are_kernel_perfect(c4):
@@ -445,17 +461,56 @@ PART_SEARCHES = {
     "independent": (oracles.oracle_is_independent, _independent_extends, is_independent),
 }
 
+# part kind -> the lower bound its number's search starts from
+BOUNDS = {"acyclic": _dichromatic_bound, "independent": _chromatic_bound}
+
+
+def assert_clique_bounds(d, chromatic, dichromatic):
+    """The greedy cliques of the underlying and the digon graph are cliques,
+    and the bounds they give are at most the two oracle numbers."""
+    arcs = set(d.arcs())
+    for adj, joined in ((_underlying_rows(d), lambda u, w: (u, w) in arcs or (w, u) in arcs),
+                        ([row & in_row for row, in_row in zip(d.rows, d.in_rows)],
+                         lambda u, w: (u, w) in arcs and (w, u) in arcs)):
+        clique = _greedy_clique(adj)
+        assert clique & ~d.vertex_mask == 0
+        assert all(joined(u, w) for u, w in itertools.combinations(vertices_of(clique), 2))
+    assert _chromatic_bound(d) <= chromatic
+    assert _dichromatic_bound(d) <= dichromatic
+
 
 def assert_partitions_match_oracle(d):
-    """Same k and the same first restricted-growth parts as the oracle."""
+    """Same k and the same first restricted-growth parts as the oracle,
+    whether the search starts at k = 1 or at its lower bound."""
     got = {}
     for kind, (oracle_ok, extends, part_ok) in PART_SEARCHES.items():
         want_k, blocks = oracles.oracle_first_partition(d, oracle_ok)
+        want = (want_k, Partition(tuple(set_to_mask(b) for b in blocks), kind))
         got[kind] = _partition_number(d, kind, extends, part_ok)
-        assert got[kind] == (want_k, Partition(tuple(set_to_mask(b) for b in blocks), kind)), kind
+        assert got[kind] == want, kind
+        if kind in BOUNDS:
+            assert _partition_number(d, kind, extends, part_ok, BOUNDS[kind]) == want, kind
+    assert_clique_bounds(d, got["independent"][0], got["acyclic"][0])
     assert kernel_perfect_number(d) == got["kernel-perfect"]
     assert dichromatic_number(d) == got["acyclic"][0]
     assert chromatic_number(d) == got["independent"][0]
+
+
+def test_clique_bounds_match_the_colouring_oracles():
+    for n in range(5):
+        for d in all_digraphs(n):
+            assert_clique_bounds(d, oracles.oracle_chromatic(d), oracles.oracle_dichromatic(d))
+
+
+@pytest.mark.parametrize("number,spec,non_clique", [
+    # a bound of 3 would return 3 for both, where 2 is the answer
+    (dichromatic_number, "cycle:3", 0b111),  # no digon at all
+    (chromatic_number, "cycle:4", 0b111),  # 0 and 2 are not adjacent
+])
+def test_clique_bound_is_rechecked(monkeypatch, number, spec, non_clique):
+    monkeypatch.setattr(solvers, "_greedy_clique", lambda adj: non_clique)
+    with pytest.raises(PostconditionViolationError, match="not a clique"):
+        number(make(parse_family(spec)))
 
 
 def test_partition_numbers_match_oracle_exhaustively():
@@ -532,7 +587,7 @@ def test_kernel_perfect_rule_3(arcs, want):
 
 @pytest.mark.parametrize("kind", ["kernel-perfect", "acyclic", "independent"])
 def test_partition_search_rechecks_the_cover(monkeypatch, kind):
-    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok: (2, (0b011, 0b110)))
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (2, (0b011, 0b110)))
     _, extends, part_ok = PART_SEARCHES[kind]
     with pytest.raises(PostconditionViolationError, match="overlap"):
         _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
@@ -540,7 +595,7 @@ def test_partition_search_rechecks_the_cover(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["acyclic", "independent"])
 def test_partition_search_rechecks_each_part(monkeypatch, kind):
-    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok: (1, (0b111,)))
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (1, (0b111,)))
     _, extends, part_ok = PART_SEARCHES[kind]
     with pytest.raises(PostconditionViolationError, match=f"not {kind}"):
         _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
