@@ -205,13 +205,13 @@ def _cmd_kp(args) -> int:
 
 def _cmd_reduce(args) -> int:
     d = _read_digraph(args.input)
-    kind, _, param = args.kind.partition(":")
+    kind, sep, param = args.kind.partition(":")
     if kind == "gadget":
         blown, bmap = add_source_gadget(d, _positive_int(param, "gadget"))
     elif kind == "wblowup":
         blown, bmap = weighted_blowup(d, (_positive_int(param, "wblowup"),) * d.n)
     elif kind == "c3blowup":
-        if param:
+        if sep:
             raise _UsageError("c3blowup takes no parameter")
         blown, bmap = c3_blowup(d)
     else:

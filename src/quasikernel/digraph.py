@@ -173,10 +173,8 @@ class Digraph:
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Arcs in lexicographic (tail, head) order."""
         for u, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                yield u, low.bit_length() - 1
-                row ^= low
+            for v in iter_bits(row):
+                yield u, v
 
 
 def check_set(d: Digraph, mask: int) -> None:
@@ -267,15 +265,7 @@ def induced(d: Digraph, s: int) -> tuple[Digraph, tuple[int, ...]]:
     check_set(d, s)
     emb = vertices_of(s)
     rows = d.rows
-    sub_rows = []
-    for orig in emb:
-        row = rows[orig] & s
-        new_row = 0
-        for j, other in enumerate(emb):
-            if row >> other & 1:
-                new_row |= 1 << j
-        sub_rows.append(new_row)
-    return Digraph(sub_rows), emb
+    return Digraph([compress_set(rows[orig] & s, emb) for orig in emb]), emb
 
 
 def disjoint_union(d1: Digraph, d2: Digraph) -> Digraph:
@@ -297,17 +287,8 @@ def _parity_reach(rows, s: int, v: int) -> tuple[int, int]:
     even = front_even = 1 << v
     odd = front_odd = 0
     while front_even or front_odd:
-        to_odd = to_even = 0
-        while front_even:
-            low = front_even & -front_even
-            to_odd |= rows[low.bit_length() - 1]
-            front_even ^= low
-        while front_odd:
-            low = front_odd & -front_odd
-            to_even |= rows[low.bit_length() - 1]
-            front_odd ^= low
-        front_odd = to_odd & s & ~odd
-        front_even = to_even & s & ~even
+        front_odd, front_even = (_row_union(rows, front_even) & s & ~odd,
+                                 _row_union(rows, front_odd) & s & ~even)
         odd |= front_odd
         even |= front_even
     return even, odd
@@ -503,7 +484,7 @@ def digraph_from_json(obj: object) -> Digraph:
 def loads_json(text: str) -> Digraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad syntax, an int over Python's digit limit, or too deep
         raise ParseError(f"invalid JSON: {e}") from None
     return digraph_from_json(obj)
 

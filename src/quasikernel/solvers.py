@@ -57,6 +57,7 @@ from .digraph import (
     induced,
     is_acyclic_set,
     is_independent,
+    iter_bits,
     n_minus_closed,
     n_minus_set,
     n_plus_set,
@@ -302,13 +303,9 @@ def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
     full = d.vertex_mask
 
     def negated_objective(mask: int, ins: int, outs: int) -> int | None:
-        twice = mask | ins
-        probe = ins
-        while probe:
-            low = probe & -probe
-            twice |= in_rows[low.bit_length() - 1]
-            probe ^= low
-        return -(mask.bit_count() + weight * ins.bit_count()) if twice == full else None
+        if mask | ins | _row_union(in_rows, ins) != full:
+            return None
+        return -(mask.bit_count() + weight * ins.bit_count())
 
     best = _least_maximal_independent_set(d, negated_objective)
     if best is None:
@@ -397,12 +394,7 @@ def _acyclic_extends(d: Digraph):
         while frontier:
             if frontier & back:
                 return False
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                step |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = step & part & ~seen
+            frontier = _row_union(rows, frontier) & part & ~seen
             seen |= frontier
         return True
 
@@ -424,12 +416,7 @@ def _odd_strong_component(rows, in_rows, s: int, v: int) -> int:
     ahead = even | odd
     back = front = bit  # the vertices reached from v that reach v back
     while front:
-        step = 0
-        while front:
-            low = front & -front
-            step |= in_rows[low.bit_length() - 1]
-            front ^= low
-        front = step & ahead & ~back
+        front = _row_union(in_rows, front) & ahead & ~back
         back |= front
     return back
 
@@ -592,12 +579,9 @@ def _clique_bound(adj: list[int]) -> int:
     """|C| for the clique C of ``_greedy_clique``, re-checked pairwise
     first: a bound above the answer would skip its pass unseen."""
     clique = _greedy_clique(adj)
-    probe = clique
-    while probe:
-        low = probe & -probe
-        if clique & ~adj[low.bit_length() - 1] != low:
+    for v in iter_bits(clique):
+        if clique & ~adj[v] != 1 << v:
             raise PostconditionViolationError("clique bound came from a set that is not a clique")
-        probe ^= low
     return clique.bit_count()
 
 

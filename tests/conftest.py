@@ -12,6 +12,15 @@ from quasikernel.generators import make, parse_family, random_digraph
 import oracles
 
 
+# JSON that the parser must refuse with ParseError, not with the error Python
+# raises: nesting past the recursion limit, and an int past Python's
+# 4,300-digit limit for str -> int
+HOSTILE_JSON = (
+    '{"n": 1, "arcs": ' + "[" * 200_000,
+    '{"n": 1, "arcs": [[0, ' + "7" * 5_000 + "]]}",
+)
+
+
 def dg(n, arcs):
     return Digraph.from_arcs(n, arcs)
 

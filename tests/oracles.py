@@ -149,6 +149,34 @@ def oracle_has_odd_dicycle(d):
     return False
 
 
+def _walk_ends(adj, s, v):
+    """ends[L]: the vertices where the walks of exactly L arcs from v inside
+    the set s end, for L = 0 .. 2|s|.  That is long enough: a shortest walk
+    that reaches a vertex with a given parity meets no (vertex, parity)
+    pair twice, so it has fewer than 2|s| arcs."""
+    ends = [{v}]
+    for _ in range(2 * len(s)):
+        ends.append({w for u in ends[-1] for w in adj[u] if w in s})
+    return ends
+
+
+def oracle_parity_reach(d, s, v):
+    """(even, odd) as sets: the vertices that walks from v inside s reach
+    with an even and with an odd number of arcs."""
+    ends = _walk_ends(adj_of(d), set(s), v)
+    return set().union(*ends[0::2]), set().union(*ends[1::2])
+
+
+def oracle_odd_strong_component(d, s, v):
+    """The strong component of v in D[s] (the vertices v walks to inside s
+    that walk back to v) if an odd closed walk through v stays inside s,
+    else the empty set."""
+    even, odd = oracle_parity_reach(d, s, v)
+    if v not in odd:
+        return set()
+    return (even | odd) & set().union(*_walk_ends(radj_of(d), set(s), v))
+
+
 def oracle_is_acyclic(d, s):
     """Repeatedly strip vertices with no out-neighbour inside s."""
     live = set(s)

@@ -12,7 +12,7 @@ from quasikernel.generators import make, parse_family
 from quasikernel.solvers import is_quasi_kernel
 from quasikernel.cli import main
 
-from conftest import dg
+from conftest import HOSTILE_JSON, dg
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -525,7 +525,7 @@ def test_reduce_wblowup(capsys, c3_file):
 
 
 @pytest.mark.parametrize("kind", ["gadget", "gadget:0", "gadget:x", "gadget:١",
-                                  "wblowup:-3", "wblowup:+2", "c3blowup:5", "shrink:2"])
+                                  "wblowup:-3", "wblowup:+2", "c3blowup:5", "c3blowup:", "shrink:2"])
 def test_reduce_rejects_bad_kind(capsys, c3_file, kind):
     code, _, err = run(capsys, ["reduce", "--kind", kind, "--input", c3_file])
     assert code == 1 and err.startswith("qk: error:")
@@ -545,6 +545,10 @@ def test_malformed_input(capsys, tmp_path):
     bad.write_text("three vertices please\n")
     code, _, err = run(capsys, ["solve", "--alg", "min", "--input", str(bad)])
     assert code == 1 and err.startswith("qk: error:")
+    for text in HOSTILE_JSON:
+        bad.write_text(text)
+        code, out, err = run(capsys, ["kp", "--input", str(bad)])
+        assert (code, out) == (1, "") and err.startswith("qk: error: invalid JSON: ")
 
 
 def test_solve_min_over_budget(capsys, tmp_path):

@@ -23,6 +23,7 @@ from quasikernel import (
     vertices_of,
 )
 from quasikernel.digraph import (
+    _parity_reach,
     adjacency_code,
     check_partition,
     compress_set,
@@ -49,7 +50,7 @@ from quasikernel.reductions import add_source_gadget, c3_blowup, weighted_blowup
 from quasikernel.solvers import is_kernel, is_quasi_kernel, large_score, sharp_score
 
 import oracles
-from conftest import all_digraphs, dg, least_codes, mask_to_set, set_to_mask, seeded_digraphs
+from conftest import HOSTILE_JSON, all_digraphs, dg, least_codes, mask_to_set, set_to_mask, seeded_digraphs
 
 
 def codes(n):
@@ -307,6 +308,16 @@ def test_two_cycle_is_even():
     assert odd_dicycle_free(dg(2, [(0, 1), (1, 0)]))
 
 
+def test_parity_reach_matches_walk_oracle_exhaustively():
+    for n in range(1, 5):
+        for d in all_digraphs(n):
+            for s in range(1, 1 << n):
+                for v in iter_bits(s):
+                    even, odd = _parity_reach(d.rows, s, v)
+                    assert (mask_to_set(even), mask_to_set(odd)) == oracles.oracle_parity_reach(
+                        d, mask_to_set(s), v)
+
+
 @given(seeded_digraphs(6, 8))
 @settings(max_examples=40, deadline=None)
 def test_odd_dicycle_free_matches_oracle_n6_to_n8(d):
@@ -490,8 +501,9 @@ def test_json_rejects_malformed(obj):
 
 
 def test_loads_json_rejects_bad_syntax():
-    with pytest.raises(ParseError):
-        loads_json("{not json")
+    for text in ("{not json", *HOSTILE_JSON):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            loads_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,15 @@ def test_kernel_perfect_rule_3(arcs, want):
     assert _kernel_perfect_extends(d)(0b011, 2) == want
 
 
+def test_odd_strong_component_matches_walk_oracle_exhaustively():
+    for n in range(1, 5):
+        for d in all_digraphs(n):
+            for s in range(1, 1 << n):
+                for v in vertices_of(s):
+                    assert mask_to_set(solvers._odd_strong_component(d.rows, d.in_rows, s, v)) == (
+                        oracles.oracle_odd_strong_component(d, mask_to_set(s), v))
+
+
 @pytest.mark.parametrize("kind", ["kernel-perfect", "acyclic", "independent"])
 def test_partition_search_rechecks_the_cover(monkeypatch, kind):
     monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (2, (0b011, 0b110)))
