@@ -16,6 +16,7 @@ import sys
 from . import harness
 from .digraph import (
     Digraph,
+    _clip,
     _decimal,
     digraph_to_json,
     enumerate_digraphs,
@@ -81,9 +82,9 @@ def _parse_set(text: str, n: int) -> int:
     try:
         vertices = [_decimal(tok.strip()) for tok in text.split(",")]
     except ValueError:
-        raise ParseError(f"bad vertex list {text!r}: expected comma-separated integers") from None
+        raise ParseError(f"bad vertex list {_clip(text)!r}: expected comma-separated integers") from None
     if max(vertices) >= n:  # before mask_of shifts by a huge index
-        raise ValueError(f"vertex set has bits outside 0..{n - 1}: vertex {max(vertices)}")
+        raise ValueError(f"vertex set has bits outside 0..{n - 1}: vertex {_clip(str(max(vertices)))}")
     return mask_of(vertices)
 
 
@@ -215,7 +216,7 @@ def _cmd_reduce(args) -> int:
             raise _UsageError("c3blowup takes no parameter")
         blown, bmap = c3_blowup(d)
     else:
-        raise _UsageError(f"unknown reduction kind {args.kind!r}")
+        raise _UsageError(f"unknown reduction kind {_clip(args.kind)!r}")
     if args.format == "json":
         print(json.dumps({"digraph": digraph_to_json(blown), "map": bmap.to_json()}, separators=(",", ":")))
     else:
@@ -229,7 +230,7 @@ def _positive_int(token: str, kind: str) -> int:
     try:
         value = _decimal(token)
     except ValueError:
-        raise _UsageError(f"{kind} needs an integer parameter, got {token!r}") from None
+        raise _UsageError(f"{kind} needs an integer parameter, got {_clip(token)!r}") from None
     if value < 1:
         raise _UsageError(f"{kind} parameter must be >= 1, got {value}")
     return value

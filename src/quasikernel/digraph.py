@@ -72,11 +72,7 @@ def _row_union(rows, mask: int) -> int:
 
 def expand_set(mask: int, embedding: tuple[int, ...]) -> int:
     """Map a vertex set of an induced subdigraph back to original labels."""
-    out = 0
-    for j, orig in enumerate(embedding):
-        if mask >> j & 1:
-            out |= 1 << orig
-    return out
+    return mask_of(embedding[j] for j in iter_bits(mask))
 
 
 def compress_set(mask: int, embedding: tuple[int, ...]) -> int:
@@ -99,7 +95,7 @@ def compress_set(mask: int, embedding: tuple[int, ...]) -> int:
 def check_order(n: int) -> None:
     """Reject vertex counts outside 0..MAX_VERTICES."""
     if not 0 <= n <= MAX_VERTICES:
-        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+        raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {_clip(str(n))}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ class Digraph:
         rows = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+                raise ValueError(f"arc {_clip(str((u, v)))} out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if rows[u] >> v & 1:
@@ -283,15 +279,17 @@ def _parity_reach(rows, s: int, v: int) -> tuple[int, int]:
     with an even and with an odd number of arcs.  v is in ``odd`` iff an odd
     closed walk through v stays inside S, i.e. iff v can walk to an odd
     dicycle of S and back (an odd closed walk splits into dicycles).
+    One front walks out from v, alternating parity: each step's front is the
+    vertices first reached at that step's parity.
     """
-    even = front_even = 1 << v
-    odd = front_odd = 0
-    while front_even or front_odd:
-        front_odd, front_even = (_row_union(rows, front_even) & s & ~odd,
-                                 _row_union(rows, front_odd) & s & ~even)
-        odd |= front_odd
-        even |= front_even
-    return even, odd
+    front = here = 1 << v  # here: reached at the front's parity
+    there = 0
+    even_front = True
+    while front:
+        front = _row_union(rows, front) & s & ~there
+        here, there = there | front, here
+        even_front = not even_front
+    return (here, there) if even_front else (there, here)
 
 
 def odd_dicycle_free(d: Digraph) -> bool:
@@ -353,11 +351,11 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
     produced (generated directly, not by filtering).  With ``canonical=True``
     only the least-code representative of each isomorphism class is yielded:
     the stream keeps one byte per code (2^(n(n-1)) bytes: 4 KiB at n = 4,
-    1 MiB at n = 5) and walks the codes themselves, skipping every code
-    already marked without building its digraph.  On reaching an unmarked
-    code -- the least of its class, since codes come in increasing order --
-    it marks the codes of all n! relabellings and yields the digraph.  So the
-    n! walk runs once per class, never once per code.
+    1 MiB at n = 5) and walks the labeled stream's rows beside their codes,
+    skipping every code already marked without building its digraph.  On
+    reaching an unmarked code -- the least of its class, since codes come in
+    increasing order -- it marks the codes of all n! relabellings and yields
+    the digraph.  So the n! walk runs once per class, never once per code.
     Rows are validated once per table row (each vertex's candidate out-rows,
     n 2^(n-1) of them), by the public constructor; the yielded digraphs are
     assembled from those rows without re-checking them.
@@ -384,14 +382,12 @@ def enumerate_digraphs(n: int, sink_free: bool = False, canonical: bool = False)
         return
     # The same product over each vertex's code bits, summed into the code.
     shifted = [tuple(c << (u * w) for c in chunks) for u in reversed(range(n))]
-    by_vertex = tables[::-1]
-    chunk_mask = (1 << w) - 1
     marked = bytearray(1 << (n * w))
     perms = tuple(itertools.permutations(range(n)))
-    for code in map(sum, itertools.product(*shifted)):
+    for rows, code in zip(itertools.product(*tables), map(sum, itertools.product(*shifted))):
         if marked[code]:
             continue
-        d = build(tuple(by_vertex[u][(code >> (u * w) & chunk_mask) - chunks.start] for u in range(n)))
+        d = build(rows[::-1])
         arcs = tuple(d.arcs())
         for perm in perms:
             image = 0
@@ -411,8 +407,14 @@ def _decimal(token: str) -> int:
     """A count or index written in ASCII digits only: unlike ``int``, no sign,
     underscore, surrounding space or non-ASCII digit."""
     if not (token.isascii() and token.isdigit()):
-        raise ValueError(f"{token!r} is not a decimal integer")
+        raise ValueError(f"{_clip(token)!r} is not a decimal integer")
     return int(token)
+
+
+def _clip(text: str) -> str:
+    """A piece of input as an error message shows it: whole up to 40
+    characters, else its first 40, an ellipsis and its length."""
+    return text if len(text) <= 40 else f"{text[:40]}…[{len(text)} characters]"
 
 
 def parse(text: str) -> Digraph:
@@ -431,16 +433,16 @@ def parse(text: str) -> Digraph:
     try:
         n = _decimal(header)
     except ValueError:
-        raise ParseError(f"malformed header {header!r}: expected a vertex count") from None
+        raise ParseError(f"malformed header {_clip(header)!r}: expected a vertex count") from None
     arcs = []
     for line in entries[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(f"malformed arc line {line!r}: expected 'u v'")
+            raise ParseError(f"malformed arc line {_clip(line)!r}: expected 'u v'")
         try:
             arcs.append((_decimal(parts[0]), _decimal(parts[1])))
         except ValueError:
-            raise ParseError(f"malformed arc line {line!r}: expected two integers") from None
+            raise ParseError(f"malformed arc line {_clip(line)!r}: expected two integers") from None
     try:
         return Digraph.from_arcs(n, arcs)
     except ValueError as e:
@@ -473,7 +475,7 @@ def digraph_from_json(obj: object) -> Digraph:
     pairs = []
     for item in arcs:
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise ParseError(f"malformed arc entry {item!r}")
+            raise ParseError(f"malformed arc entry {_clip(repr(item))}")
         pairs.append((item[0], item[1]))
     try:
         return Digraph.from_arcs(n, pairs)
@@ -515,10 +517,10 @@ class Partition:
             raise ValueError(f"unknown partition kind {self.kind!r}; expected one of {PART_KINDS}")
 
 
-def check_partition(d: Digraph, partition: Partition) -> None:
-    """Reject part families that overlap or fail to cover the vertex set."""
+def check_partition(d: Digraph, parts: Iterable[int]) -> None:
+    """Reject part masks that overlap or fail to cover the vertex set."""
     acc = 0
-    for i, part in enumerate(partition.parts):
+    for i, part in enumerate(parts):
         check_set(d, part)
         if part & acc:
             raise ValueError(f"partition parts overlap at part {i}")

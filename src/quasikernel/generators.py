@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import Digraph, _decimal, check_order, disjoint_union
+from .digraph import Digraph, _clip, _decimal, check_order, disjoint_union
 from .exceptions import ParseError
 from .reductions import c3_blowup
 
@@ -59,7 +59,7 @@ def circulant_tournament(n: int) -> Digraph:
     Every vertex has in- and out-degree (n-1)/2.
     """
     if n < 3 or n % 2 == 0:
-        raise ValueError(f"circulant tournament needs odd n >= 3, got {n}")
+        raise ValueError(f"circulant tournament needs odd n >= 3, got {_clip(str(n))}")
     half = (n - 1) // 2
     return Digraph.from_arcs(n, ((i, (i + j) % n) for i in range(n) for j in range(1, half + 1)))
 
@@ -84,7 +84,7 @@ def random_digraph(n: int, p: Fraction, seed: int) -> Digraph:
     check_order(n)
     p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"arc probability must be in [0, 1], got {p}")
+        raise ValueError(f"arc probability must be in [0, 1], got {_clip(str(p))}")
     rng = SplitMix64(seed)
     threshold_num = p.numerator << 64
     q = p.denominator
@@ -141,22 +141,21 @@ def family_usage(head: str) -> str:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parsed family expression: the grammar head, its parsed parameters,
-    and for a union the member specs; see parse_family."""
+    """Parsed family expression: the grammar head and its parsed parameters;
+    a union's one parameter is the tuple of its member specs.  See
+    parse_family."""
 
     kind: str
     args: tuple = ()
-    members: tuple["FamilySpec", ...] = ()
 
 
 def make(spec: FamilySpec) -> Digraph:
     if spec.kind not in FAMILIES:
         raise ValueError(f"unknown family kind {spec.kind!r}")
     params, build = FAMILIES[spec.kind]
-    args = (spec.members,) if spec.kind == "union" else spec.args
-    if len(args) != len(params):
-        raise ValueError(f"family {spec.kind!r} takes {family_usage(spec.kind)}, got {args!r}")
-    return build(*args)
+    if len(spec.args) != len(params):
+        raise ValueError(f"family {spec.kind!r} takes {family_usage(spec.kind)}, got {spec.args!r}")
+    return build(*spec.args)
 
 
 def union_family(specs) -> Digraph:
@@ -180,13 +179,13 @@ def parse_family(text: str) -> FamilySpec:
         members = tuple(parse_family(part) for part in rest.split(","))
         if any(m.kind == "union" for m in members):
             raise ParseError("nested unions are not supported")
-        return FamilySpec("union", members=members)
+        return FamilySpec("union", (members,))
     if head not in FAMILIES:
-        raise ParseError(f"unknown family {head!r}")
+        raise ParseError(f"unknown family {_clip(head)!r}")
     tokens = rest.split(":") if sep else []
     try:
         args = tuple(_PARSE_PARAMETER[param](token)
                      for param, token in zip(FAMILIES[head][0], tokens, strict=True))
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad family expression {text!r}: expected {family_usage(head)}") from None
+        raise ParseError(f"bad family expression {_clip(text)!r}: expected {family_usage(head)}") from None
     return FamilySpec(head, args)

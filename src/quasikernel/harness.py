@@ -27,6 +27,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .digraph import (
     Digraph,
+    _clip,
     _decimal,
     adjacency_code,
     digraph_from_code,
@@ -67,12 +68,12 @@ def parse_alpha(text: str) -> Fraction:
     try:
         num, den = map(_decimal, text.strip().split("/"))
     except ValueError:
-        raise ParseError(f"alpha must be an exact fraction 'P/Q', got {text!r}") from None
+        raise ParseError(f"alpha must be an exact fraction 'P/Q', got {_clip(text)!r}") from None
     if den == 0:
         raise ParseError("alpha denominator must be nonzero")
     alpha = Fraction(num, den)
     if not 0 < alpha <= 1:
-        raise ParseError(f"alpha must be in (0, 1], got {alpha}")
+        raise ParseError(f"alpha must be in (0, 1], got {_clip(str(alpha))}")
     return alpha
 
 
@@ -205,7 +206,7 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     """
     # islice takes a step of at most sys.maxsize
     if not 1 <= shard_count <= sys.maxsize or not 0 <= shard_index < shard_count:
-        raise ValueError(f"bad shard {shard_index}/{shard_count}")
+        raise ValueError(f"bad shard {_clip(f'{shard_index}/{shard_count}')}")
     minimise = _VARIANTS[spec.variant].minimise
     count = 0
     failures: list[CheckRecord] = []

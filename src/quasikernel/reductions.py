@@ -111,19 +111,11 @@ def weighted_blowup(d: Digraph, multiplicities) -> tuple[Digraph, BlowupMap]:
 
 
 def c3_blowup(d: Digraph) -> tuple[Digraph, BlowupMap]:
-    """Blocks are directed triangles 3v -> 3v+1 -> 3v+2 -> 3v; arcs copied
-    block-to-block.  The blown digraph is always sink-free."""
-    check_order(3 * d.n)
-    blocks = tuple(0b111 << (3 * v) for v in range(d.n))
-    rows = []
-    for v, row in enumerate(d.rows):
-        out = _row_union(blocks, row)
-        base = 3 * v
-        rows.append(out | (1 << (base + 1)))
-        rows.append(out | (1 << (base + 2)))
-        rows.append(out | (1 << base))
-    blown = Digraph(rows)
-    return blown, BlowupMap("c3", d, blown, blocks)
+    """The weighted blowup by 3 plus a directed triangle 3v -> 3v+1 -> 3v+2
+    -> 3v inside each block.  The blown digraph is always sink-free."""
+    wide, wmap = weighted_blowup(d, (3,) * d.n)
+    blown = Digraph([row | 1 << (u - u % 3 + (u + 1) % 3) for u, row in enumerate(wide.rows)])
+    return blown, BlowupMap("c3", d, blown, wmap.blocks)
 
 
 def project_blowup_qk(bmap: BlowupMap, qprime: int) -> int:

@@ -612,14 +612,13 @@ def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tu
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
     lower = 1 if bound is None else bound(d)
     k, parts = _min_partition_rgs(d.n, extends(d), lower)
-    partition = Partition(parts, kind)
     try:
-        check_partition(d, partition)
+        check_partition(d, parts)
     except ValueError as e:
         raise PostconditionViolationError(f"{kind} partition search returned a bad partition: {e}") from e
     if part_ok is not None and not all(part_ok(d, part) for part in parts):
         raise PostconditionViolationError(f"{kind} partition search returned a part that is not {kind}")
-    return k, partition
+    return k, Partition(parts, kind)
 
 
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:

@@ -163,7 +163,7 @@ class SmallQkTrace:
 
 
 def _checked_parts(d: Digraph, partition: Partition, check_parts: bool) -> list[int]:
-    check_partition(d, partition)
+    check_partition(d, partition.parts)
     parts = list(partition.parts)
     while len(parts) < 2:
         parts.append(0)
@@ -199,8 +199,10 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     slab = in_of_kernel | core
     # the grown part lies in kernel | in_of_kernel (its kernel absorbs it)
     refined = [leftover, slab] + [parts[i] & ~(kernel | in_of_kernel) for i in range(1, k)]
-    if sum(p.bit_count() for p in refined) != n or _union(refined) != d.vertex_mask:
-        raise PostconditionViolationError("refined parts do not partition the vertex set")
+    try:
+        check_partition(d, refined)
+    except ValueError as e:
+        raise PostconditionViolationError(f"refined parts do not partition the vertex set: {e}") from e
     remainder = d.vertex_mask & ~slab
 
     branch = "otherwise"
@@ -225,13 +227,6 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
             f"witness of size {result.bit_count()} exceeds (k-1)/k * n for k={k}, n={n}; "
             "potential counterexample")
     return SmallQkTrace(kernel, core, tuple(refined), remainder, branch, result)
-
-
-def _union(masks) -> int:
-    acc = 0
-    for m in masks:
-        acc |= m
-    return acc
 
 
 def large_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool = True) -> SolveResult:

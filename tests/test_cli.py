@@ -480,6 +480,39 @@ def test_non_ascii_or_signed_integers_are_errors(capsys, monkeypatch, argv, stdi
     assert (code, out) == (1, "") and err.startswith("qk: error:")
 
 
+# An error shows a long input token clipped, so a hostile token cannot flood
+# stderr.  5,000 digits are over Python's int conversion limit and fail as
+# text; 4,000 digits parse, and the number they give is clipped instead.
+DIGITS = "9" * 5000
+NUMBER = "2" * 4000
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    pytest.param(["gen", "--family", f"cycle:{DIGITS}"], "", id="family"),
+    pytest.param(["check", "--conjecture", "large", "--alpha", f"1/{DIGITS}"], C4_TEXT, id="alpha"),
+    pytest.param(["solve", "--alg", "min"], f"{DIGITS}\n", id="header"),
+    pytest.param(["solve", "--alg", "min"], f"2\n0 {DIGITS}\n", id="arc-line"),
+    pytest.param(["solve", "--alg", "covering", "--set", f"1,x{DIGITS}"], C4_TEXT, id="vertex-list"),
+    pytest.param(["reduce", "--kind", f"mystery{DIGITS}"], C4_TEXT, id="reduce-kind"),
+    pytest.param(["sweep", "--n", f"x{DIGITS}", "--conjecture", "large", "--alpha", "1/2"], "", id="count"),
+    pytest.param(["solve", "--alg", "min"], f'{{"n": 2, "arcs": [["{DIGITS}", 1]]}}', id="json-arc"),
+    pytest.param(["gen", "--family", f"edgeless:{NUMBER}"], "", id="order"),
+    pytest.param(["gen", "--family", f"circulant:{NUMBER}"], "", id="circulant"),
+    pytest.param(["gen", "--family", f"random:3:{NUMBER}/1:0"], "", id="probability"),
+    pytest.param(["check", "--conjecture", "large", "--alpha", f"{NUMBER}/1"], C4_TEXT, id="alpha-value"),
+    pytest.param(["solve", "--alg", "min"], f"{NUMBER}\n", id="header-value"),
+    pytest.param(["solve", "--alg", "min"], f"2\n0 {NUMBER}\n", id="arc-value"),
+    pytest.param(["solve", "--alg", "covering", "--set", NUMBER], C4_TEXT, id="vertex-value"),
+    pytest.param(["sweep", "--n", "2", "--conjecture", "large", "--alpha", "1/2", "--shards", NUMBER],
+                 "", id="shards"),
+])
+def test_errors_clip_long_input_tokens(capsys, monkeypatch, argv, stdin):
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("qk: error: ") and err.count("\n") == 1 and len(err.encode()) < 200
+    assert "characters]" in err
+
+
 def test_gen_into_solve_pipeline(capsys, monkeypatch):
     code, out, _ = run(capsys, ["gen", "--family", "circulant:5"])
     assert code == 0

@@ -107,7 +107,7 @@ def test_every_family_gives_its_stated_order(expr, order):
     spec = parse_family(expr)
     assert make(spec).n == order
     if spec.kind == "union":
-        assert order == sum(make(m).n for m in spec.members)
+        assert order == sum(make(m).n for m in spec.args[0])
     if spec.kind == "c3pow":
         assert order == 3 ** spec.args[0]
 
@@ -199,7 +199,7 @@ def test_parse_power_and_random():
 
 def test_parse_union_and_make():
     spec = parse_family("union:cycle:2,cycle:4")
-    assert spec.kind == "union" and len(spec.members) == 2
+    assert spec == FamilySpec("union", ((FamilySpec("cycle", (2,)), FamilySpec("cycle", (4,))),))
     d = make(spec)
     assert d == disjoint_union(make(parse_family("cycle:2")), make(parse_family("cycle:4")))
     assert d.n == 6

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from quasikernel import (
     min_quasi_kernel,
     qk_via_ii_oracle,
 )
-from quasikernel.digraph import is_sink_free, n_minus_set
+from quasikernel.digraph import is_sink_free, n_minus_set, serialize
+from quasikernel.generators import make, parse_family
 from quasikernel.reductions import (
     add_source_gadget,
     c3_blowup,
@@ -133,6 +136,20 @@ def test_blowup_orders():
             assert c3_blowup(d)[0].n == 3 * n
             for c in (1, 2):
                 assert add_source_gadget(d, c)[0].n == n * (c + 1)
+
+
+# sha256 of the triangle blowup of every digraph of order <= 3, blocks
+# included, and of c3pow:3: rewriting the construction must not move a byte
+def test_c3_blowup_bytes_are_pinned():
+    h = hashlib.sha256()
+    for n in range(4):
+        for d in all_digraphs(n):
+            blown, bmap = c3_blowup(d)
+            h.update(serialize(blown).encode())
+            h.update(json.dumps(bmap.to_json()).encode())
+    assert h.hexdigest() == "6dd91c19ce8f8c11fdb0f77c461a1278a0dd0e72e4aae72c44ead348dfc32436"
+    c3pow = serialize(make(parse_family("c3pow:3")))
+    assert hashlib.sha256(c3pow.encode()).hexdigest() == "e93e29d1a7644e6acec7c6f0f6caf63ce5fae39337b188ba0bff2b1cefea601a"
 
 
 def test_c3_coverage_identity_spot():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quasikernel import (
     Partition,
+    PostconditionViolationError,
     enumerate_digraphs,
     kernel_perfect_number,
     large_qk_from_partition,
@@ -22,6 +23,7 @@ from quasikernel.solvers import (
     is_kernel_perfect,
     is_quasi_kernel,
 )
+from quasikernel import theorems
 from quasikernel.theorems import SmallQkTrace, extend_to_dominating_kp_set
 
 from conftest import all_digraphs, dg, seeded_digraphs
@@ -108,6 +110,23 @@ def test_leftover_kernel_vertices_step_into_the_remainder():
     assert (trace.kernel, trace.core, trace.remainder) == (mask_of([1, 2, 4]), mask_of([1]), mask_of([2, 3, 4]))
     assert (trace.branch, trace.result) == ("otherwise", mask_of([1, 2]))
     assert small_qk_with_sources(d, part).witness == mask_of([1, 2])
+
+
+# The refined parts always partition V; corrupting either input of the
+# refinement must trip the re-check rather than yield a witness.  A cover
+# that returns a non-kernel leaves a gap, and repeated parts overlap.
+@pytest.mark.parametrize("attr,fake,reason", [
+    ("_cover", lambda d, p, weights: mask_of([1]), "partition parts do not cover the vertex set"),
+    ("_checked_parts", lambda d, partition, check_parts: [*partition.parts, mask_of([3])],
+     "partition parts overlap at part 3"),
+])
+def test_small_rechecks_its_refined_parts(monkeypatch, attr, fake, reason):
+    d = dg(5, [(0, 1), (1, 3), (2, 3), (3, 0), (4, 0)])
+    _, part = kernel_perfect_number(d)
+    monkeypatch.setattr(theorems, attr, fake)
+    with pytest.raises(PostconditionViolationError,
+                       match=f"^refined parts do not partition the vertex set: {reason}$"):
+        small_qk_from_partition(d, part)
 
 
 def test_small_golden_triangle(c3):
