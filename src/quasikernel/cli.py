@@ -56,8 +56,24 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit code 2 is reserved for bound failures
+    """argparse with exit code 1 for usage errors (2 is reserved for bound
+    failures) and long tokens clipped in its messages."""
+
+    def error(self, message):
         raise _UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(map(_clip, extra))}")
+        return args
+
+    def _check_value(self, action, value):
+        # a clipped token is no choice either; its message leaves out the
+        # list of choices, which would make it over 200 bytes for --alg
+        if action.choices is not None and value not in action.choices and _clip(value) != value:
+            raise argparse.ArgumentError(action, f"invalid choice: {_clip(value)!r}")
+        super()._check_value(action, value)
 
 
 def _format_set(mask: int) -> str:
@@ -68,8 +84,13 @@ def _read_digraph(path: str) -> Digraph:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            if isinstance(e.filename, str):
+                e.filename = _clip(e.filename)
+            raise
     if text.lstrip().startswith("{"):
         return loads_json(text)
     return parse(text)

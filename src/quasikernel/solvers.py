@@ -20,6 +20,8 @@ sharp) quasi-kernels are maximal independent sets Q.  Bron--Kerbosch with
 Tomita pivoting lists each with N^-(Q) and N^+(Q), and those searches keep
 the set with the least key, one expression over the three (size, or negated
 score), ties to the least mask: still the first optimum over all masks.
+Given a vertex set S, it lists those of D[S] in D's own labels instead, with
+both neighbourhoods clipped to S, so a kernel of D[S] needs no induced copy.
 Large and sharp witnesses are re-scored once by definition.
 The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
 adding the vertices in ascending order.  The two colouring numbers start at
@@ -81,16 +83,20 @@ class SolveResult:
     verified: bool
 
 
-def _maximal_independent_sets(d: Digraph):
-    """Yield (Q, N^-(Q), N^+(Q)) for every maximal independent set Q of the
-    underlying undirected graph, in no particular order, each exactly once.
+def _maximal_independent_sets(d: Digraph, s: int):
+    """Yield (Q, N^-(Q) & S, N^+(Q) & S) for every maximal independent set Q
+    of the underlying undirected graph of D[S], in no particular order, each
+    exactly once.  Only the kernel search of a grown set (``theorems._cover``)
+    passes less than ``d.vertex_mask``.
 
     Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
-    (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
-    reached by disjoint triangles.  Each branch ORs the new vertex's rows
-    into the neighbourhoods; no row meets the independent Q.
+    (TCS 2006).  There are at most 3^{|S|/3} such sets (Moon--Moser 1965),
+    reached by disjoint triangles.  The search starts with p = S, so it only
+    ever branches on vertices of S, and reads the rows clipped to S, which
+    are the rows of D[S] in D's labels.  Each branch ORs the new vertex's
+    rows into the neighbourhoods; no row meets the independent Q.
     """
-    n = d.n
+    n = s.bit_count()
     if n > MIS_BUDGET:
         raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
     if not n:
@@ -98,11 +104,14 @@ def _maximal_independent_sets(d: Digraph):
         return
     rows = d.rows
     in_rows = d.in_rows
-    closed = [rows[v] | in_rows[v] | 1 << v for v in range(n)]
+    if s != d.vertex_mask:
+        rows = [row & s for row in rows]
+        in_rows = [row & s for row in in_rows]
+    closed = [rows[v] | in_rows[v] | 1 << v for v in range(d.n)]
     # (r, p, x, ins, outs): r is independent with in- and out-neighbourhoods
-    # ins and outs; p and x hold the vertices with no arc to or from r, those
-    # still to branch on and those already branched on
-    stack = [(0, d.vertex_mask, 0, 0, 0)]
+    # ins and outs; p and x hold the vertices of S with no arc to or from r,
+    # those still to branch on and those already branched on
+    stack = [(0, s, 0, 0, 0)]
     while stack:
         r, p, x, ins, outs = stack.pop()
         # every set still to report takes a vertex of p & closed[u] for each
@@ -134,12 +143,12 @@ def _maximal_independent_sets(d: Digraph):
             branch ^= low
 
 
-def _least_maximal_independent_set(d: Digraph, key):
-    """(key, mask) of the maximal independent set Q with the least
-    ``key(Q, N^-(Q), N^+(Q))``, ties to the least mask; sets whose key is
-    None are skipped, and None is returned if all are."""
+def _least_maximal_independent_set(d: Digraph, key, s: int):
+    """(key, mask) of the maximal independent set Q of D[S] with the least
+    ``key(Q, N^-(Q) & S, N^+(Q) & S)``, ties to the least mask; sets whose
+    key is None are skipped, and None is returned if all are."""
     best = None
-    for mask, ins, outs in _maximal_independent_sets(d):
+    for mask, ins, outs in _maximal_independent_sets(d, s):
         k = key(mask, ins, outs)
         if k is not None and (best is None or (k, mask) < best):
             best = k, mask
@@ -152,7 +161,13 @@ def _least_maximal_independent_set(d: Digraph, key):
 
 def is_kernel(d: Digraph, k: int) -> bool:
     """Independent and every vertex is in K or has an arc into K."""
-    return is_independent(d, k) and k | _row_union(d.in_rows, k) == d.vertex_mask
+    return _is_kernel_of(d, k, d.vertex_mask)
+
+
+def _is_kernel_of(d: Digraph, k: int, s: int) -> bool:
+    """K is a kernel of D[S]: it lies inside S, is independent, and every
+    vertex of S outside it has an arc into it."""
+    return is_independent(d, k) and not k & ~s and not s & ~(k | _row_union(d.in_rows, k))
 
 
 def find_kernel(d: Digraph) -> SolveResult:
@@ -163,19 +178,25 @@ def find_kernel(d: Digraph) -> SolveResult:
     Absence is certified by the exhausted search, so ``verified`` is True
     either way.
     """
-    return _first_kernel(d, int.bit_count)
+    return _first_kernel(d, int.bit_count, d.vertex_mask)
 
 
-def _first_kernel(d: Digraph, size) -> SolveResult:
-    """``find_kernel`` with kernels ranked by (``size(mask)``, mask); the
-    objective is that size."""
-    full = d.vertex_mask
+def _first_kernel(d: Digraph, size, s: int) -> SolveResult:
+    """The kernel of D[S] least by (``size(mask)``, mask), searched in D's
+    own labels; the objective is that size.
+
+    When ``size`` sums a weight per vertex, it is the kernel that the search
+    on ``induced(d, s)`` finds, mapped back by ``expand_set``: ``induced``
+    relabels S in increasing order, which keeps the order of the masks
+    inside S, so the kernels of D[S] fall in the same (size, mask) order in
+    both labellings.
+    """
     best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: size(mask) if mask | ins == full else None)
+        d, lambda mask, ins, outs: size(mask) if mask | ins == s else None, s)
     if best is None:
         return SolveResult(None, 0, True)
     objective, mask = best
-    if not is_kernel(d, mask):
+    if not _is_kernel_of(d, mask, s):
         raise PostconditionViolationError("kernel search returned a non-kernel")
     return SolveResult(mask, objective, True)
 
@@ -307,7 +328,7 @@ def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
             return None
         return -(mask.bit_count() + weight * ins.bit_count())
 
-    best = _least_maximal_independent_set(d, negated_objective)
+    best = _least_maximal_independent_set(d, negated_objective, full)
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")
     neg_obj, mask = best
@@ -657,7 +678,8 @@ def heavy_independent_set(d: Digraph) -> int:
     and {3, 4, 5}, and none of them is in-heavy.
     """
     best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None)
+        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None,
+        d.vertex_mask)
     if best is None:
         raise PostconditionViolationError(
             "no in-heavy maximal independent set exists here; potential counterexample")

@@ -33,6 +33,13 @@ Three pipelines, each returning a verified witness:
 ``large_qk_from_partition`` is the coverage-side counterpart: covering the
 largest part yields ``n_minus_closed`` of size at least n/k.
 
+The kernel of a grown set S is searched on S itself, in the digraph's own
+labels: the search lists the maximal independent sets of D[S] with their
+neighbourhoods clipped to S, so no induced copy is built.  A search on the
+copy ``induced(D, S)`` finds the same kernel: the copy relabels S in
+increasing order, which keeps the order of the masks inside S and each
+vertex's weight, so the kernels fall in the same (weight, mask) order.
+
 The paper proves the with-sources bound on a blowup of the core, where a
 vertex of weight w becomes an independent block of w twins.  Working on the
 weighted core gives the same witness: twins join a grown set one after
@@ -114,13 +121,15 @@ def _weigher(weights):
 
 def _cover(d: Digraph, p: int, weights) -> int:
     """``quasi_kernel_covering`` taking the kernel of the grown set that is
-    least by (weight, mask); p must be kernel-perfect, which is not checked."""
+    least by (weight, mask); p must be kernel-perfect, which is not checked.
+
+    The kernel is searched on the grown set in d's own labels, and is the
+    one the search on its induced copy would find (see the module docstring).
+    """
     ext = extend_to_dominating_kp_set(d, p)
-    sub, emb = induced(d, ext)
-    kres = _first_kernel(sub, _weigher(None if weights is None else [weights[v] for v in emb]))
-    if kres.witness is None:
+    q = _first_kernel(d, _weigher(weights), ext).witness
+    if q is None:
         raise PostconditionViolationError("kernel-perfect grown set has no kernel; table or growth bug")
-    q = expand_set(kres.witness, emb)
     if not is_quasi_kernel(d, q):
         raise PostconditionViolationError("covering produced a non-quasi-kernel")
     if p & ~n_minus_closed(d, q):

@@ -505,12 +505,31 @@ NUMBER = "2" * 4000
     pytest.param(["solve", "--alg", "covering", "--set", NUMBER], C4_TEXT, id="vertex-value"),
     pytest.param(["sweep", "--n", "2", "--conjecture", "large", "--alpha", "1/2", "--shards", NUMBER],
                  "", id="shards"),
+    pytest.param(["solve", "--alg", "x" * 5000], C4_TEXT, id="alg-choice"),
+    pytest.param(["kp", "--format", "z" * 5000], C4_TEXT, id="format-choice"),
+    pytest.param(["gen", "--family", "cycle:3", "w" * 5000], "", id="extra-argument"),
+    pytest.param(["kp", "--input", "y" * 5000], "", id="input-path"),
 ])
 def test_errors_clip_long_input_tokens(capsys, monkeypatch, argv, stdin):
     code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert err.startswith("qk: error: ") and err.count("\n") == 1 and len(err.encode()) < 200
     assert "characters]" in err
+
+
+# argparse's own messages and the OSError text show a short token whole; how
+# argparse lists the choices differs between Python versions
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--alg", "bogus"], "argument --alg: invalid choice: 'bogus' (choose from "),
+    (["kp", "--format", "zz"], "argument --format: invalid choice: 'zz' (choose from "),
+    (["gen", "--family", "cycle:3", "w", "v"], "unrecognized arguments: w v\n"),
+    (["kp", "--input", "no/such/file"], "[Errno 2] No such file or directory: 'no/such/file'\n"),
+])
+def test_errors_show_short_tokens_whole(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv, stdin="", monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qk: error: {message}") and err.endswith("\n") and err.count("\n") == 1
 
 
 def test_gen_into_solve_pipeline(capsys, monkeypatch):

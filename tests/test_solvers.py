@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from quasikernel import (
 from quasikernel import solvers
 from quasikernel.digraph import (
     digraph_from_code,
+    expand_set,
     induced,
     is_acyclic_set,
     is_independent,
@@ -209,7 +211,7 @@ def _digraphs_of_order(lo, hi):
 
 
 def _mis_matches_oracle(d):
-    got = list(_maximal_independent_sets(d))
+    got = list(_maximal_independent_sets(d, d.vertex_mask))
     masks = [q for q, _, _ in got]
     assert len(masks) == len(set(masks))
     assert {frozenset(vertices_of(m)) for m in masks} == set(oracles.oracle_maximal_independent_sets(d))
@@ -229,6 +231,47 @@ def test_maximal_independent_sets_match_oracle_exhaustively():
 @settings(max_examples=60, deadline=None)
 def test_maximal_independent_sets_match_oracle(d):
     _mis_matches_oracle(d)
+
+
+# The kernel search of a grown set runs on D[S] in D's own labels.  It must
+# find what the search on the induced copy finds, mapped back: induced
+# relabels S in increasing order, which keeps the (size, mask) order.
+SUBSET_SIZES = (int.bit_count, lambda mask: sum((3 * v) % 4 + 1 for v in vertices_of(mask)))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_mis_masks(rows):
+    """(Q, N^-(Q), N^+(Q)) as masks for every maximal independent set Q of
+    Digraph(rows), by the oracles; cached, since many S induce one copy."""
+    d = Digraph(rows)
+    return frozenset((set_to_mask(q), set_to_mask(oracles.oracle_n_minus(d, q)),
+                      set_to_mask(oracles.oracle_n_plus(d, q)))
+                     for q in oracles.oracle_maximal_independent_sets(d))
+
+
+def _subset_search_matches_induced_copy(d, s):
+    sub, emb = induced(d, s)
+    for size in SUBSET_SIZES:
+        got = solvers._first_kernel(d, size, s)
+        want = solvers._first_kernel(sub, lambda mask: size(expand_set(mask, emb)), sub.vertex_mask)
+        assert got.witness == (None if want.witness is None else expand_set(want.witness, emb))
+        assert (got.objective, got.verified) == (want.objective, want.verified)
+    got = list(_maximal_independent_sets(d, s))
+    assert len(got) == len({q for q, _, _ in got})
+    assert set(got) == {tuple(expand_set(m, emb) for m in sets) for sets in _oracle_mis_masks(sub.rows)}
+
+
+def test_subset_search_matches_induced_copy_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            for s in range(1 << n):
+                _subset_search_matches_induced_copy(d, s)
+
+
+@given(seeded_digraphs(5, 8), st.integers(min_value=0, max_value=(1 << 8) - 1))
+@settings(max_examples=80, deadline=None)
+def test_subset_search_matches_induced_copy(d, s):
+    _subset_search_matches_induced_copy(d, s & d.vertex_mask)
 
 
 MAX_QK = ((max_large_quasi_kernel, oracles.oracle_large_objective),
@@ -260,7 +303,7 @@ def test_max_witness_is_first_optimum(d):
 
 def test_max_quasi_kernels_on_the_empty_digraph():
     d = Digraph(())
-    assert list(_maximal_independent_sets(d)) == [(0, 0, 0)]
+    assert list(_maximal_independent_sets(d, d.vertex_mask)) == [(0, 0, 0)]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
 
@@ -680,17 +723,17 @@ def test_mis_neighbourhoods_are_rechecked(monkeypatch):
     heavy_free = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                         (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d: ((q, d.vertex_mask, 0) for q, _, _ in real(d)))
+                        lambda d, s: ((q, s, 0) for q, _, _ in real(d, s)))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
     # a set that is not maximal
-    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d: iter([(0, d.vertex_mask, 0)]))
+    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d, s: iter([(0, s, 0)]))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
     # on the directed triangle each single vertex is a quasi-kernel with one
     # in-neighbour; claiming two inflates the objective
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d: ((q, d.vertex_mask & ~q, outs) for q, _, outs in real(d)))
+                        lambda d, s: ((q, s & ~q, outs) for q, _, outs in real(d, s)))
     triangle = dg(3, [(0, 1), (1, 2), (2, 0)])
     for solver, _ in MAX_QK:
         with pytest.raises(PostconditionViolationError, match="objective"):

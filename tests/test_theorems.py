@@ -1,4 +1,7 @@
+import functools
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +18,15 @@ from quasikernel import (
     small_qk_with_sources,
     vertices_of,
 )
-from quasikernel.digraph import digraph_from_code, n_minus_closed, n_minus_set, sources_not_sinks
-from quasikernel.generators import make, parse_family
+from quasikernel.digraph import (
+    digraph_from_code,
+    is_acyclic_set,
+    is_sink_free,
+    n_minus_closed,
+    n_minus_set,
+    sources_not_sinks,
+)
+from quasikernel.generators import make, parse_family, random_digraph
 from quasikernel.solvers import (
     _independent_extends,
     _min_partition_rgs,
@@ -288,3 +298,65 @@ def test_sources_beyond_blowup_size(family):
     keff = max(k, 2)
     assert is_quasi_kernel(d, res.witness)
     assert keff * res.witness.bit_count() <= keff * d.n - sources_not_sinks(d).bit_count()
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs: a faster covering step must leave every witness in place
+
+
+def _small_output(d, part):
+    if not is_sink_free(d):
+        return "-"
+    return json.dumps(small_qk_from_partition(d, part, check_parts=False).to_json(), sort_keys=True)
+
+
+def _large_output(d, part):
+    res = large_qk_from_partition(d, part, check_parts=False)
+    return f"{res.witness} {res.objective}"
+
+
+def _sources_output(d, part):
+    res = small_qk_with_sources(d, part, check_parts=False)
+    return f"{res.witness} {res.objective}"
+
+
+def _covering_output(d, part):
+    return " ".join(str(quasi_kernel_covering(d, p)) for p in range(1 << d.n) if is_acyclic_set(d, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _pin_corpus(name):
+    """(digraph, kernel-perfect partition) pairs: every digraph on at most 4
+    vertices, or 96 seeded random ones, 12 on each order 5..12."""
+    if name == "n<=4":
+        ds = [d for n in range(5) for d in all_digraphs(n)]
+    else:
+        ds = [random_digraph(n, p, 1000 * n + 10 * i + j) for n in range(5, 13)
+              for i, p in enumerate((Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+              for j in range(3)]
+    return tuple((d, kernel_perfect_number(d)[1]) for d in ds)
+
+
+@pytest.mark.parametrize("corpus,output,digest", [
+    pytest.param("n<=4", _small_output, "a536c050f9ea0367f80ade747f42997483ef2de0bd91c1a8d853529d7d54fa9d",
+                 id="n4-small"),
+    pytest.param("n<=4", _large_output, "7fcab62d29f9236ed721bba74acc5d7e605d56a6537b513d1acd37388f94c095",
+                 id="n4-large"),
+    pytest.param("n<=4", _sources_output, "3018c0cecea45a495aa716b747b2b7f898018b0afd311b704abd9f8ca6985174",
+                 id="n4-sources"),
+    pytest.param("n<=4", _covering_output, "702f1d9e3eac488fee87aa52c425fa6b2e49e46c420b568d5389e5ca14308544",
+                 id="n4-covering"),
+    pytest.param("random", _small_output, "eb0171e9b4c0b926992ede856d47a5efd3280cd746a826f5e1ea19abd39a8790",
+                 id="random-small"),
+    pytest.param("random", _large_output, "9b6aadafe98ab59f59d7e5ebb32fefc755d7d2c82a338a175cd5aa7c04108764",
+                 id="random-large"),
+    pytest.param("random", _sources_output, "256288937518f389af46dcc5211f4727e05bd62bf96a6c20bc68ae18336994ce",
+                 id="random-sources"),
+    pytest.param("random", _covering_output, "722fc64034302e0d26805e651bf3407e90e6c63dd8ee536776f7df50e166b88e",
+                 id="random-covering"),
+])
+def test_theorem_outputs_are_pinned(corpus, output, digest):
+    h = hashlib.sha256()
+    for d, part in _pin_corpus(corpus):
+        h.update((output(d, part) + "\n").encode())
+    assert h.hexdigest() == digest
