@@ -159,11 +159,6 @@ def _least_maximal_independent_set(d: Digraph, key, s: int):
 # kernels
 
 
-def is_kernel(d: Digraph, k: int) -> bool:
-    """Independent and every vertex is in K or has an arc into K."""
-    return _is_kernel_of(d, k, d.vertex_mask)
-
-
 def _is_kernel_of(d: Digraph, k: int, s: int) -> bool:
     """K is a kernel of D[S]: it lies inside S, is independent, and every
     vertex of S outside it has an arc into it."""
@@ -183,14 +178,7 @@ def find_kernel(d: Digraph) -> SolveResult:
 
 def _first_kernel(d: Digraph, size, s: int) -> SolveResult:
     """The kernel of D[S] least by (``size(mask)``, mask), searched in D's
-    own labels; the objective is that size.
-
-    When ``size`` sums a weight per vertex, it is the kernel that the search
-    on ``induced(d, s)`` finds, mapped back by ``expand_set``: ``induced``
-    relabels S in increasing order, which keeps the order of the masks
-    inside S, so the kernels of D[S] fall in the same (size, mask) order in
-    both labellings.
-    """
+    own labels; the objective is that size."""
     best = _least_maximal_independent_set(
         d, lambda mask, ins, outs: size(mask) if mask | ins == s else None, s)
     if best is None:
@@ -207,10 +195,17 @@ def _first_kernel(d: Digraph, size, s: int) -> SolveResult:
 
 def is_quasi_kernel(d: Digraph, q: int) -> bool:
     """Independent and every vertex is within directed distance 2 to Q."""
-    if not is_independent(d, q):
+    return _is_quasi_kernel_of(d, q, d.vertex_mask)
+
+
+def _is_quasi_kernel_of(d: Digraph, q: int, s: int) -> bool:
+    """Q is a quasi-kernel of D[S]: it lies inside S, is independent, and
+    every vertex of S has a path of at most two arcs to Q in D[S], so the
+    one-step set is clipped to S before the second step."""
+    if not is_independent(d, q) or q & ~s:
         return False
-    once = q | _row_union(d.in_rows, q)
-    return once | _row_union(d.in_rows, once) == d.vertex_mask
+    once = (q | _row_union(d.in_rows, q)) & s
+    return not s & ~(once | _row_union(d.in_rows, once))
 
 
 def min_quasi_kernel(d: Digraph) -> SolveResult:
@@ -352,16 +347,20 @@ def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
 def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
     """Grow q to a maximal independent set, adding vertices in increasing
     index order.  Any independent superset of a quasi-kernel is one."""
-    if not is_quasi_kernel(d, q):
+    return _maximalize_within(d, q, d.vertex_mask)
+
+
+def _maximalize_within(d: Digraph, q: int, s: int) -> int:
+    """``maximalize_quasi_kernel`` on D[S]: q must be a quasi-kernel of
+    D[S], and only vertices of S join it."""
+    if not _is_quasi_kernel_of(d, q, s):
         raise ValueError("input is not a quasi-kernel")
     rows = d.rows
     in_rows = d.in_rows
-    for v in range(d.n):
-        bit = 1 << v
-        if q & bit or (rows[v] | in_rows[v]) & q:
-            continue
-        q |= bit
-    if not is_quasi_kernel(d, q):
+    for v in iter_bits(s & ~q):
+        if not (rows[v] | in_rows[v]) & q:
+            q |= 1 << v
+    if not _is_quasi_kernel_of(d, q, s):
         raise PostconditionViolationError("maximalization broke the quasi-kernel")
     return q
 
@@ -529,8 +528,8 @@ def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
     This is the k = 1 pass of ``kernel_perfect_number``'s search, under its
-    budget, on S relabelled to 0..|S|-1, so the predicate's masks stay below
-    2^|S| whatever the labels of S.
+    budget, on the copy ``induced(d, s)``: rule 3's table is indexed by mask,
+    so S is relabelled to 0..|S|-1 to keep the masks below 2^|S|.
     """
     check_set(d, s)
     if s.bit_count() > PARTITION_BUDGET:

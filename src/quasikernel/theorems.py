@@ -33,12 +33,11 @@ Three pipelines, each returning a verified witness:
 ``large_qk_from_partition`` is the coverage-side counterpart: covering the
 largest part yields ``n_minus_closed`` of size at least n/k.
 
-The kernel of a grown set S is searched on S itself, in the digraph's own
-labels: the search lists the maximal independent sets of D[S] with their
-neighbourhoods clipped to S, so no induced copy is built.  A search on the
-copy ``induced(D, S)`` finds the same kernel: the copy relabels S in
-increasing order, which keeps the order of the masks inside S and each
-vertex's weight, so the kernels fall in the same (weight, mask) order.
+Every construction works on its ambient vertex set W in the digraph's own
+labels: all of V, the remainder outside the slab, or the sourceless core.
+The grown set stays inside W and dominates W, its kernel is searched on the
+grown set with neighbourhoods clipped to it, and the witness is checked as a
+quasi-kernel of D[W].  No induced copy is built.
 
 The paper proves the with-sources bound on a blowup of the core, where a
 vertex of weight w becomes an independent block of w twins.  Working on the
@@ -58,9 +57,6 @@ from .digraph import (
     _row_union,
     check_partition,
     check_set,
-    compress_set,
-    expand_set,
-    induced,
     is_sink_free,
     iter_bits,
     n_minus_closed,
@@ -72,9 +68,10 @@ from .exceptions import PostconditionViolationError
 from .solvers import (
     SolveResult,
     _first_kernel,
+    _is_quasi_kernel_of,
+    _maximalize_within,
     is_kernel_perfect,
     is_quasi_kernel,
-    maximalize_quasi_kernel,
 )
 
 
@@ -88,15 +85,21 @@ def extend_to_dominating_kp_set(d: Digraph, p: int) -> int:
     ``n_minus_set(d, p)``.  That p is kernel-perfect is the caller's
     precondition and is not checked here.
     """
+    return _extend_within(d, p, d.vertex_mask)
+
+
+def _extend_within(d: Digraph, p: int, w: int) -> int:
+    """``extend_to_dominating_kp_set`` on D[W]: p lies inside W, only vertices
+    of W are absorbed, and the grown set dominates W."""
     check_set(d, p)
     # a rejected vertex has an arc into the set, which only grows, so it stays
     # rejected and one ascending pass suffices
     rows = d.rows
     cur = p
-    for v in iter_bits(d.vertex_mask & ~p):
+    for v in iter_bits(w & ~p):
         if rows[v] & cur == 0:
             cur |= 1 << v
-    if n_minus_closed(d, cur) != d.vertex_mask:
+    if w & ~n_minus_closed(d, cur):
         raise PostconditionViolationError("grown set is not dominating")
     if (cur & ~p) & n_minus_set(d, p):
         raise PostconditionViolationError("grown set leaked into the in-neighbourhood of p")
@@ -108,7 +111,7 @@ def quasi_kernel_covering(d: Digraph, p: int) -> int:
     n_minus_set(d, p); p must be kernel-perfect."""
     if not is_kernel_perfect(d, p):
         raise ValueError("input set is not kernel-perfect")
-    return _cover(d, p, None)
+    return _cover(d, p, None, d.vertex_mask)
 
 
 def _weigher(weights):
@@ -119,18 +122,14 @@ def _weigher(weights):
     return lambda mask: sum(weights[v] for v in iter_bits(mask))
 
 
-def _cover(d: Digraph, p: int, weights) -> int:
-    """``quasi_kernel_covering`` taking the kernel of the grown set that is
-    least by (weight, mask); p must be kernel-perfect, which is not checked.
-
-    The kernel is searched on the grown set in d's own labels, and is the
-    one the search on its induced copy would find (see the module docstring).
-    """
-    ext = extend_to_dominating_kp_set(d, p)
+def _cover(d: Digraph, p: int, weights, w: int) -> int:
+    """``quasi_kernel_covering`` on D[W] with the kernel of the grown set least
+    by (weight, mask); p must be a kernel-perfect subset of W (not checked)."""
+    ext = _extend_within(d, p, w)
     q = _first_kernel(d, _weigher(weights), ext).witness
     if q is None:
         raise PostconditionViolationError("kernel-perfect grown set has no kernel; table or growth bug")
-    if not is_quasi_kernel(d, q):
+    if not _is_quasi_kernel_of(d, q, w):
         raise PostconditionViolationError("covering produced a non-quasi-kernel")
     if p & ~n_minus_closed(d, q):
         raise PostconditionViolationError("covering left part of p undominated")
@@ -196,7 +195,7 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     k = len(parts)
     n = d.n
 
-    kernel = _cover(d, parts[0], None)
+    kernel = _cover(d, parts[0], None, d.vertex_mask)
     in_of_kernel = n_minus_set(d, kernel)
     core = kernel
     for v in reversed(vertices_of(kernel)):
@@ -220,8 +219,7 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     for i in range(2, k + 1):
         part_i = refined[i]
         if k * (n_minus_set(d, part_i) & leftover).bit_count() >= w_size:
-            sub_w, emb_w = induced(d, remainder)
-            q_w = expand_set(_cover(sub_w, compress_set(part_i, emb_w), None), emb_w)
+            q_w = _cover(d, part_i, None, remainder)
             result = q_w | (core & ~n_minus_set(d, q_w))
             branch = f"part:{i}"
             break
@@ -241,17 +239,17 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
 def large_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool = True) -> SolveResult:
     """Quasi-kernel whose n_minus_closed has size >= n/k: cover the largest
     part (first largest on ties)."""
-    return _cover_largest(d, _checked_parts(d, partition, check_parts), None)
+    return _cover_largest(d, _checked_parts(d, partition, check_parts), None, d.vertex_mask)
 
 
-def _cover_largest(d: Digraph, parts: list[int], weights) -> SolveResult:
-    """Cover the heaviest of k parts (first on ties); the objective, the
-    weight of ``n_minus_closed``, is at least 1/k of the total weight."""
+def _cover_largest(d: Digraph, parts: list[int], weights, w: int) -> SolveResult:
+    """Cover the heaviest of k parts of W (first on ties) in D[W]; the
+    objective, the weight of ``n_minus_closed`` in W, is at least 1/k of W's."""
     weigh = _weigher(weights)
     k = len(parts)
-    q = _cover(d, max(parts, key=weigh), weights)
-    objective = weigh(n_minus_closed(d, q))
-    total = weigh(d.vertex_mask)
+    q = _cover(d, max(parts, key=weigh), weights, w)
+    objective = weigh(n_minus_closed(d, q) & w)
+    total = weigh(w)
     if k * objective < total:
         raise PostconditionViolationError(
             f"coverage {objective} below {total}/k for k={k}; potential counterexample")
@@ -286,10 +284,9 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
         pruned_rows[v] = row & -row
     d0 = Digraph(pruned_rows)
 
-    core, emb = induced(d0, core_mask)
-    weights = [(k * t + 1) * (d0.in_rows[a] & source_mask).bit_count() + 1 for a in emb]
-    core_parts = [compress_set(part & core_mask, emb) for part in parts]
-    q_core = expand_set(maximalize_quasi_kernel(core, _cover_largest(core, core_parts, weights).witness), emb)
+    weights = [(k * t + 1) * (row & source_mask).bit_count() + 1 for row in d0.in_rows]
+    core_parts = [part & core_mask for part in parts]
+    q_core = _maximalize_within(d0, _cover_largest(d0, core_parts, weights, core_mask).witness, core_mask)
     missed = core_mask & ~n_minus_closed(d0, q_core)
 
     # every missed core vertex takes the sources that feed it

@@ -134,6 +134,27 @@ def oracle_maximal_independent_sets(d):
     return out
 
 
+def oracle_maximalize(d, q):
+    """q plus each vertex, taken in increasing order, that keeps the set
+    grown so far independent."""
+    grown = set(q)
+    for v in range(d.n):
+        if oracle_is_independent(d, grown | {v}):
+            grown.add(v)
+    return frozenset(grown)
+
+
+def oracle_extend(d, p):
+    """p plus each vertex, taken in increasing order, with no arc into the
+    set grown so far."""
+    adj = adj_of(d)
+    grown = set(p)
+    for v in range(d.n):
+        if not adj[v] & grown:
+            grown.add(v)
+    return frozenset(grown)
+
+
 def oracle_has_odd_dicycle(d):
     """Enumerate candidate vertex subsets and cyclic orders directly."""
     adj = adj_of(d)

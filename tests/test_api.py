@@ -143,3 +143,15 @@ def test_unchecked_construction_stays_in_the_stream():
     readers = {p.relative_to(ROOT).as_posix(): scopes for p in paths
                if (scopes := _readers_of(p, "_from_checked_rows"))}
     assert readers == {"src/quasikernel/digraph.py": ["enumerate_digraphs"]}
+
+
+def test_induced_copies_stay_where_a_table_or_a_contract_needs_them():
+    # the constructions work on D[W] in D's own labels; only rule 3's table,
+    # indexed by mask, and the oracle contract, which takes a Digraph, need
+    # the relabelled copy
+    paths = ROOT.glob("src/quasikernel/*.py")
+    readers = {p.name: scopes for p in paths if (scopes := _readers_of(p, "induced"))}
+    assert readers == {"reductions.py": ["<module>", "qk_via_ii_oracle"],
+                       "solvers.py": ["<module>", "is_kernel_perfect"]}
+    theorems = ROOT / "src/quasikernel/theorems.py"
+    assert [_readers_of(theorems, name) for name in ("compress_set", "expand_set")] == [[], []]

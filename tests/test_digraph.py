@@ -48,7 +48,7 @@ from quasikernel.digraph import (
 )
 from quasikernel.generators import edgeless, random_digraph, random_tournament
 from quasikernel.reductions import add_source_gadget, c3_blowup, weighted_blowup
-from quasikernel.solvers import is_kernel, is_quasi_kernel, large_score, sharp_score
+from quasikernel.solvers import is_quasi_kernel, large_score, sharp_score
 
 import oracles
 from conftest import HOSTILE_JSON, all_digraphs, dg, least_codes, mask_to_set, set_to_mask, seeded_digraphs
@@ -178,7 +178,7 @@ def test_n_plus_set_is_exact_distance_one():
 
 @pytest.mark.parametrize("takes_mask", [
     n_plus_set, n_minus_set, n_minus_closed, is_independent, is_acyclic_set,
-    induced, is_kernel, is_quasi_kernel, large_score, sharp_score,
+    induced, is_quasi_kernel, large_score, sharp_score,
 ], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("mask", [0b100, -1], ids=["0b100", "-1"])
 def test_set_arguments_are_validated(takes_mask, mask):

@@ -20,6 +20,7 @@ from quasikernel import (
 )
 from quasikernel.digraph import (
     digraph_from_code,
+    induced,
     is_acyclic_set,
     is_sink_free,
     n_minus_closed,
@@ -29,6 +30,9 @@ from quasikernel.digraph import (
 from quasikernel.generators import make, parse_family, random_digraph
 from quasikernel.solvers import (
     _independent_extends,
+    _is_kernel_of,
+    _is_quasi_kernel_of,
+    _maximalize_within,
     _min_partition_rgs,
     is_kernel_perfect,
     is_quasi_kernel,
@@ -36,7 +40,8 @@ from quasikernel.solvers import (
 from quasikernel import theorems
 from quasikernel.theorems import SmallQkTrace, extend_to_dominating_kp_set
 
-from conftest import all_digraphs, dg, seeded_digraphs
+import oracles
+from conftest import all_digraphs, dg, mask_to_set, seeded_digraphs, set_to_mask
 from oracles import oracle_sources_via_blowup
 
 
@@ -74,6 +79,50 @@ def test_extend_postconditions(code, v):
     assert grown & p == p
     assert n_minus_closed(d, grown) == d.vertex_mask
     assert (grown & ~p) & n_minus_set(d, p) == 0
+
+
+# ---------------------------------------------------------------------------
+# working inside a vertex subset S in the digraph's own labels
+#
+# The constructions grow, search and re-check within a subset S without
+# building the copy induced(d, S).  Each helper must agree with the oracles
+# run on that copy, for every Q: a set that leaves S is no (quasi-)kernel of
+# D[S], and a path of D[S] may not step outside S.
+
+
+def _subset_helpers_match_oracles_on_the_copy(d, s):
+    sub, emb = induced(d, s)
+    label = {v: j for j, v in enumerate(emb)}
+    for q in range(1 << d.n):
+        if q & ~s:
+            assert not _is_quasi_kernel_of(d, q, s)
+            assert not _is_kernel_of(d, q, s)
+            continue
+        q_sub = {label[v] for v in mask_to_set(q)}
+        is_qk = oracles.oracle_is_qk(sub, q_sub)
+        assert _is_quasi_kernel_of(d, q, s) == is_qk
+        assert _is_kernel_of(d, q, s) == oracles.oracle_is_kernel(sub, q_sub)
+        want = set_to_mask(emb[j] for j in oracles.oracle_extend(sub, q_sub))
+        assert theorems._extend_within(d, q, s) == want
+        if is_qk:
+            want = set_to_mask(emb[j] for j in oracles.oracle_maximalize(sub, q_sub))
+            assert _maximalize_within(d, q, s) == want
+        else:
+            with pytest.raises(ValueError, match="input is not a quasi-kernel"):
+                _maximalize_within(d, q, s)
+
+
+def test_subset_helpers_match_oracles_exhaustively():
+    for n in range(4):
+        for d in all_digraphs(n):
+            for s in range(1 << n):
+                _subset_helpers_match_oracles_on_the_copy(d, s)
+
+
+@given(n4_codes, st.integers(min_value=0, max_value=15))
+@settings(max_examples=80)
+def test_subset_helpers_match_oracles_n4(code, s):
+    _subset_helpers_match_oracles_on_the_copy(digraph_from_code(4, code), s)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +175,7 @@ def test_leftover_kernel_vertices_step_into_the_remainder():
 # refinement must trip the re-check rather than yield a witness.  A cover
 # that returns a non-kernel leaves a gap, and repeated parts overlap.
 @pytest.mark.parametrize("attr,fake,reason", [
-    ("_cover", lambda d, p, weights: mask_of([1]), "partition parts do not cover the vertex set"),
+    ("_cover", lambda d, p, weights, w: mask_of([1]), "partition parts do not cover the vertex set"),
     ("_checked_parts", lambda d, partition, check_parts: [*partition.parts, mask_of([3])],
      "partition parts overlap at part 3"),
 ])
