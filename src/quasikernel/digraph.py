@@ -498,23 +498,18 @@ def dumps_json(d: Digraph) -> str:
 # ---------------------------------------------------------------------------
 # partitions
 
-PART_KINDS = ("kernel-perfect", "acyclic", "independent")
-
-
 @dataclass(frozen=True)
 class Partition:
-    """Ordered partition of the vertex set into parts of a declared kind.
+    """Ordered partition of the vertex set into parts; the constructions
+    take its parts to be kernel-perfect.
 
     Empty parts are permitted (the constructions pad single-part partitions).
     """
 
     parts: tuple[int, ...]
-    kind: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        if self.kind not in PART_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}; expected one of {PART_KINDS}")
 
 
 def check_partition(d: Digraph, parts: Iterable[int]) -> None:

@@ -344,15 +344,10 @@ def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
     return _max_quasi_kernel(d, 2, sharp_score)
 
 
-def maximalize_quasi_kernel(d: Digraph, q: int) -> int:
-    """Grow q to a maximal independent set, adding vertices in increasing
-    index order.  Any independent superset of a quasi-kernel is one."""
-    return _maximalize_within(d, q, d.vertex_mask)
-
-
 def _maximalize_within(d: Digraph, q: int, s: int) -> int:
-    """``maximalize_quasi_kernel`` on D[S]: q must be a quasi-kernel of
-    D[S], and only vertices of S join it."""
+    """Grow a quasi-kernel q of D[S] to a maximal independent set of D[S],
+    adding vertices of S in increasing index order.  Any independent
+    superset of a quasi-kernel is one."""
     if not _is_quasi_kernel_of(d, q, s):
         raise ValueError("input is not a quasi-kernel")
     rows = d.rows
@@ -542,7 +537,7 @@ def is_kernel_perfect(d: Digraph, s: int) -> bool:
 # partition numbers
 
 
-def _min_partition_rgs(n: int, ok, lower: int = 1) -> tuple[int, tuple[int, ...]]:
+def _min_partition_rgs(n: int, ok, lower: int) -> tuple[int, tuple[int, ...]]:
     """Least k >= ``lower`` admitting a partition into valid parts; first
     witness in restricted-growth-string order.
 
@@ -617,9 +612,10 @@ def _dichromatic_bound(d: Digraph) -> int:
     return lower if lower > 1 or is_acyclic_set(d, d.vertex_mask) else 2
 
 
-def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tuple[int, Partition]:
+def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tuple[int, tuple[int, ...]]:
     """Least number of parts of ``kind`` covering the vertex set, with the
-    first certifying partition in restricted-growth order.
+    parts of the first certifying partition in restricted-growth order.
+    ``kind`` only names the parts in error messages.
 
     ``extends(d)`` is the search's predicate.  ``bound(d)``, if given, is a
     certified lower bound on the answer, and the search starts there.  The
@@ -638,13 +634,14 @@ def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tu
         raise PostconditionViolationError(f"{kind} partition search returned a bad partition: {e}") from e
     if part_ok is not None and not all(part_ok(d, part) for part in parts):
         raise PostconditionViolationError(f"{kind} partition search returned a part that is not {kind}")
-    return k, Partition(parts, kind)
+    return k, parts
 
 
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     """Least number of kernel-perfect parts covering the vertex set, with the
     first certifying partition in restricted-growth order."""
-    return _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None)
+    k, parts = _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None)
+    return k, Partition(parts)
 
 
 def chromatic_number(d: Digraph) -> int:

@@ -75,22 +75,17 @@ from .solvers import (
 )
 
 
-def extend_to_dominating_kp_set(d: Digraph, p: int) -> int:
-    """Grow a kernel-perfect set until every outside vertex has an arc into it.
-
-    Vertices are absorbed one at a time, smallest index first, and a vertex
-    is eligible only while it has no out-arc into the grown set -- it joins
-    as a sink of the grown induced subdigraph, so kernel-perfectness is
-    preserved without re-checking.  Consequently the grown set never meets
-    ``n_minus_set(d, p)``.  That p is kernel-perfect is the caller's
-    precondition and is not checked here.
-    """
-    return _extend_within(d, p, d.vertex_mask)
-
-
 def _extend_within(d: Digraph, p: int, w: int) -> int:
-    """``extend_to_dominating_kp_set`` on D[W]: p lies inside W, only vertices
-    of W are absorbed, and the grown set dominates W."""
+    """Grow a kernel-perfect set p inside W until every vertex of W outside
+    it has an arc into it.
+
+    Vertices of W are absorbed one at a time, smallest index first, and a
+    vertex is eligible only while it has no out-arc into the grown set -- it
+    joins as a sink of the grown induced subdigraph, so kernel-perfectness is
+    preserved without re-checking.  Consequently the grown set never meets
+    ``n_minus_set(d, p)``.  That p is a kernel-perfect subset of W is the
+    caller's precondition and is not checked here.
+    """
     check_set(d, p)
     # a rejected vertex has an arc into the set, which only grows, so it stays
     # rejected and one ascending pass suffices
@@ -111,22 +106,15 @@ def quasi_kernel_covering(d: Digraph, p: int) -> int:
     n_minus_set(d, p); p must be kernel-perfect."""
     if not is_kernel_perfect(d, p):
         raise ValueError("input set is not kernel-perfect")
-    return _cover(d, p, None, d.vertex_mask)
+    return _cover(d, p, int.bit_count, d.vertex_mask)
 
 
-def _weigher(weights):
-    """Size of a vertex set: its cardinality when ``weights`` is None, else
-    the sum of its vertices' weights."""
-    if weights is None:
-        return int.bit_count
-    return lambda mask: sum(weights[v] for v in iter_bits(mask))
-
-
-def _cover(d: Digraph, p: int, weights, w: int) -> int:
+def _cover(d: Digraph, p: int, size, w: int) -> int:
     """``quasi_kernel_covering`` on D[W] with the kernel of the grown set least
-    by (weight, mask); p must be a kernel-perfect subset of W (not checked)."""
+    by (``size(mask)``, mask); p must be a kernel-perfect subset of W (not
+    checked)."""
     ext = _extend_within(d, p, w)
-    q = _first_kernel(d, _weigher(weights), ext).witness
+    q = _first_kernel(d, size, ext).witness
     if q is None:
         raise PostconditionViolationError("kernel-perfect grown set has no kernel; table or growth bug")
     if not _is_quasi_kernel_of(d, q, w):
@@ -195,7 +183,7 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     k = len(parts)
     n = d.n
 
-    kernel = _cover(d, parts[0], None, d.vertex_mask)
+    kernel = _cover(d, parts[0], int.bit_count, d.vertex_mask)
     in_of_kernel = n_minus_set(d, kernel)
     core = kernel
     for v in reversed(vertices_of(kernel)):
@@ -219,7 +207,7 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     for i in range(2, k + 1):
         part_i = refined[i]
         if k * (n_minus_set(d, part_i) & leftover).bit_count() >= w_size:
-            q_w = _cover(d, part_i, None, remainder)
+            q_w = _cover(d, part_i, int.bit_count, remainder)
             result = q_w | (core & ~n_minus_set(d, q_w))
             branch = f"part:{i}"
             break
@@ -239,15 +227,15 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
 def large_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool = True) -> SolveResult:
     """Quasi-kernel whose n_minus_closed has size >= n/k: cover the largest
     part (first largest on ties)."""
-    return _cover_largest(d, _checked_parts(d, partition, check_parts), None, d.vertex_mask)
+    return _cover_largest(d, _checked_parts(d, partition, check_parts), int.bit_count, d.vertex_mask)
 
 
-def _cover_largest(d: Digraph, parts: list[int], weights, w: int) -> SolveResult:
-    """Cover the heaviest of k parts of W (first on ties) in D[W]; the
-    objective, the weight of ``n_minus_closed`` in W, is at least 1/k of W's."""
-    weigh = _weigher(weights)
+def _cover_largest(d: Digraph, parts: list[int], weigh, w: int) -> SolveResult:
+    """Cover the heaviest of k parts of W by ``weigh(mask)`` (first on ties)
+    in D[W]; the objective, the weight of ``n_minus_closed`` in W, is at
+    least 1/k of W's."""
     k = len(parts)
-    q = _cover(d, max(parts, key=weigh), weights, w)
+    q = _cover(d, max(parts, key=weigh), weigh, w)
     objective = weigh(n_minus_closed(d, q) & w)
     total = weigh(w)
     if k * objective < total:
@@ -285,8 +273,12 @@ def small_qk_with_sources(d: Digraph, partition: Partition, check_parts: bool = 
     d0 = Digraph(pruned_rows)
 
     weights = [(k * t + 1) * (row & source_mask).bit_count() + 1 for row in d0.in_rows]
+
+    def weigh(mask: int) -> int:
+        return sum(weights[v] for v in iter_bits(mask))
+
     core_parts = [part & core_mask for part in parts]
-    q_core = _maximalize_within(d0, _cover_largest(d0, core_parts, weights, core_mask).witness, core_mask)
+    q_core = _maximalize_within(d0, _cover_largest(d0, core_parts, weigh, core_mask).witness, core_mask)
     missed = core_mask & ~n_minus_closed(d0, q_core)
 
     # every missed core vertex takes the sources that feed it

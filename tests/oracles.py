@@ -314,13 +314,13 @@ def oracle_sources_via_blowup(d, partition):
 
     Unlike the rest of this module it calls the library for the blowup, the
     covering and the maximal growth (``weighted_blowup``,
-    ``large_qk_from_partition``, ``maximalize_quasi_kernel``): it is the
+    ``large_qk_from_partition``, ``_maximalize_within``): it is the
     construction ``small_qk_with_sources`` must reproduce without building
     the blowup.  The projection and the source bookkeeping are done here.
     """
     from quasikernel import Digraph, Partition, large_qk_from_partition
     from quasikernel.reductions import weighted_blowup
-    from quasikernel.solvers import maximalize_quasi_kernel
+    from quasikernel.solvers import _maximalize_within
 
     adj, rad = adj_of(d), radj_of(d)
     sources = {v for v in range(d.n) if adj[v] and not rad[v]}
@@ -333,8 +333,8 @@ def oracle_sources_via_blowup(d, partition):
     mult = [(k * t + 1) * sum(1 for v in sources if kept[v] == a) + 1 for a in core]
     blown, bmap = weighted_blowup(base, mult)
     blown_parts = [sum(bmap.blocks[label[v]] for v in core if part >> v & 1) for part in parts]
-    res = large_qk_from_partition(blown, Partition(tuple(blown_parts), partition.kind), check_parts=False)
-    qb = {x for x in range(blown.n) if maximalize_quasi_kernel(blown, res.witness) >> x & 1}
+    res = large_qk_from_partition(blown, Partition(tuple(blown_parts)), check_parts=False)
+    qb = {x for x in range(blown.n) if _maximalize_within(blown, res.witness, blown.vertex_mask) >> x & 1}
     covered = oracle_n_minus_closed(blown, qb)
     blocks = [{x for x in range(blown.n) if block >> x & 1} for block in bmap.blocks]
     assert all(b <= covered or not b & covered for b in blocks), "a block is split"

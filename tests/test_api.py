@@ -2,6 +2,7 @@ import ast
 import io
 import re
 import shlex
+from collections import defaultdict
 from pathlib import Path
 
 import quasikernel
@@ -115,24 +116,31 @@ def test_order_limit_and_row_union_live_in_one_module():
         "src/quasikernel/digraph.py"]
 
 
-def _readers_of(path: Path, name: str) -> list[str]:
-    """The dotted names of the functions (or ``<module>``) whose bodies read
-    ``name`` as a variable or an attribute."""
-    found = []
+def _readers(path: Path) -> dict[str, list[str]]:
+    """For each name read as a variable or an attribute, or imported, the
+    dotted names of the functions (or ``<module>``) whose bodies do so."""
+    found = defaultdict(list)
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
-                found.append(scope)
+            if isinstance(child, ast.Attribute):
+                found[child.attr].append(scope)
+            elif isinstance(child, ast.Name):
+                found[child.id].append(scope)
+            elif isinstance(child, ast.alias):
+                for name in {child.name, child.asname} - {None}:
+                    found[name].append(scope)
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), str(path)), "<module>")
     return found
+
+
+def _readers_of(path: Path, name: str) -> list[str]:
+    return _readers(path).get(name, [])
 
 
 def test_unchecked_construction_stays_in_the_stream():
@@ -155,3 +163,19 @@ def test_induced_copies_stay_where_a_table_or_a_contract_needs_them():
                        "solvers.py": ["<module>", "is_kernel_perfect"]}
     theorems = ROOT / "src/quasikernel/theorems.py"
     assert [_readers_of(theorems, name) for name in ("compress_set", "expand_set")] == [[], []]
+
+
+def test_every_definition_is_read_or_exported():
+    # a module-level def or class that only tests call is dead API: tests
+    # call its real twin instead.  A function's reads of itself do not count
+    sources = [*ROOT.glob("src/quasikernel/*.py"), *ROOT.glob("perfbench/*.py")]
+    reads = {p: _readers(p) for p in sources}
+    unread = []
+    for path in ROOT.glob("src/quasikernel/*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in quasikernel.__all__:
+                continue
+            if not any(p != path or scope != node.name and not scope.startswith(f"{node.name}.")
+                       for p in sources for scope in reads[p].get(node.name, [])):
+                unread.append(f"{path.name}: {node.name}")
+    assert unread == []

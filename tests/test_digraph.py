@@ -16,7 +16,6 @@ from quasikernel import (
     BudgetExceededError,
     Digraph,
     ParseError,
-    Partition,
     enumerate_digraphs,
     iter_bits,
     mask_of,
@@ -523,11 +522,6 @@ def test_loads_json_rejects_bad_syntax():
 
 # ---------------------------------------------------------------------------
 # partitions
-
-
-def test_partition_kind_is_validated():
-    with pytest.raises(ValueError):
-        Partition((0b1,), "mystery")
 
 
 def test_check_partition():

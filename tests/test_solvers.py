@@ -46,12 +46,12 @@ from quasikernel.solvers import (
     _kernel_perfect_extends,
     _kernel_perfect_through,
     _maximal_independent_sets,
+    _maximalize_within,
     _partition_number,
     _underlying_rows,
     check_set,
     is_kernel_perfect,
     is_quasi_kernel,
-    maximalize_quasi_kernel,
     quasi_kernels,
 )
 
@@ -332,7 +332,7 @@ def test_sharp_dominates_large_objective(code):
 def test_maximalize_yields_maximal_independent(code):
     d = digraph_from_code(4, code)
     q = min_quasi_kernel(d).witness
-    m = maximalize_quasi_kernel(d, q)
+    m = _maximalize_within(d, q, d.vertex_mask)
     assert q & ~m == 0
     assert is_quasi_kernel(d, m)
     und = 0
@@ -343,7 +343,7 @@ def test_maximalize_yields_maximal_independent(code):
 
 def test_maximalize_rejects_non_quasi_kernel(c4):
     with pytest.raises(ValueError):
-        maximalize_quasi_kernel(c4, mask_of([0, 1]))
+        _maximalize_within(c4, mask_of([0, 1]), c4.vertex_mask)
 
 
 def _quasi_kernels_match_oracle(d):
@@ -528,13 +528,14 @@ def assert_partitions_match_oracle(d):
     got = {}
     for kind, (oracle_ok, extends, part_ok) in PART_SEARCHES.items():
         want_k, blocks = oracles.oracle_first_partition(d, oracle_ok)
-        want = (want_k, Partition(tuple(set_to_mask(b) for b in blocks), kind))
+        want = (want_k, tuple(set_to_mask(b) for b in blocks))
         got[kind] = _partition_number(d, kind, extends, part_ok)
         assert got[kind] == want, kind
         if kind in BOUNDS:
             assert _partition_number(d, kind, extends, part_ok, BOUNDS[kind]) == want, kind
     assert_clique_bounds(d, got["independent"][0], got["acyclic"][0])
-    assert kernel_perfect_number(d) == got["kernel-perfect"]
+    k, parts = got["kernel-perfect"]
+    assert kernel_perfect_number(d) == (k, Partition(parts))
     assert dichromatic_number(d) == got["acyclic"][0]
     assert chromatic_number(d) == got["independent"][0]
 

@@ -38,7 +38,7 @@ from quasikernel.solvers import (
     is_quasi_kernel,
 )
 from quasikernel import theorems
-from quasikernel.theorems import SmallQkTrace, extend_to_dominating_kp_set
+from quasikernel.theorems import SmallQkTrace, _extend_within
 
 import oracles
 from conftest import all_digraphs, dg, mask_to_set, seeded_digraphs, set_to_mask
@@ -52,9 +52,9 @@ n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
 def independent_partition(d):
     """Partition into independent parts (independent sets are kernel-perfect)."""
     if d.n == 0:
-        return Partition((), "kernel-perfect")
-    _, parts = _min_partition_rgs(d.n, _independent_extends(d))
-    return Partition(parts, "kernel-perfect")
+        return Partition(())
+    _, parts = _min_partition_rgs(d.n, _independent_extends(d), 1)
+    return Partition(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +63,7 @@ def independent_partition(d):
 
 def test_extend_grows_to_domination():
     d = dg(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    grown = extend_to_dominating_kp_set(d, mask_of([0]))
+    grown = _extend_within(d, mask_of([0]), d.vertex_mask)
     assert n_minus_closed(d, grown) == d.vertex_mask
     assert grown & mask_of([0]) == mask_of([0])
     # nothing absorbed may lie in N^-(p) = {3}
@@ -75,7 +75,7 @@ def test_extend_grows_to_domination():
 def test_extend_postconditions(code, v):
     d = digraph_from_code(4, code)
     p = 1 << v
-    grown = extend_to_dominating_kp_set(d, p)
+    grown = _extend_within(d, p, d.vertex_mask)
     assert grown & p == p
     assert n_minus_closed(d, grown) == d.vertex_mask
     assert (grown & ~p) & n_minus_set(d, p) == 0
@@ -103,7 +103,7 @@ def _subset_helpers_match_oracles_on_the_copy(d, s):
         assert _is_quasi_kernel_of(d, q, s) == is_qk
         assert _is_kernel_of(d, q, s) == oracles.oracle_is_kernel(sub, q_sub)
         want = set_to_mask(emb[j] for j in oracles.oracle_extend(sub, q_sub))
-        assert theorems._extend_within(d, q, s) == want
+        assert _extend_within(d, q, s) == want
         if is_qk:
             want = set_to_mask(emb[j] for j in oracles.oracle_maximalize(sub, q_sub))
             assert _maximalize_within(d, q, s) == want
@@ -175,7 +175,7 @@ def test_leftover_kernel_vertices_step_into_the_remainder():
 # refinement must trip the re-check rather than yield a witness.  A cover
 # that returns a non-kernel leaves a gap, and repeated parts overlap.
 @pytest.mark.parametrize("attr,fake,reason", [
-    ("_cover", lambda d, p, weights, w: mask_of([1]), "partition parts do not cover the vertex set"),
+    ("_cover", lambda d, p, size, w: mask_of([1]), "partition parts do not cover the vertex set"),
     ("_checked_parts", lambda d, partition, check_parts: [*partition.parts, mask_of([3])],
      "partition parts overlap at part 3"),
 ])
@@ -200,11 +200,11 @@ def test_small_golden_triangle(c3):
 def test_small_requires_sink_free():
     d = dg(2, [(0, 1)])
     with pytest.raises(ValueError):
-        small_qk_from_partition(d, Partition((0b11,), "kernel-perfect"), check_parts=False)
+        small_qk_from_partition(d, Partition((0b11,)), check_parts=False)
 
 
 def test_small_rejects_bad_parts(c3):
-    bad = Partition((c3.vertex_mask,), "kernel-perfect")
+    bad = Partition((c3.vertex_mask,))
     with pytest.raises(ValueError):
         small_qk_from_partition(c3, bad)
 
