@@ -216,7 +216,11 @@ def is_independent(d: Digraph, s: int) -> bool:
 def is_acyclic_set(d: Digraph, s: int) -> bool:
     """The subdigraph induced by S has no directed cycle."""
     check_set(d, s)
-    rows = d.rows
+    return _is_acyclic_rows(d.rows, s)
+
+
+def _is_acyclic_rows(rows, s: int) -> bool:
+    """The arcs ``rows`` restricted to S form no directed cycle."""
     m = s
     # peel vertices with no out-arc inside the remainder; a cycle survives
     while m:

@@ -23,22 +23,36 @@ score), ties to the least mask: still the first optimum over all masks.
 Given a vertex set S, it lists those of D[S] in D's own labels instead, with
 both neighbourhoods clipped to S, so a kernel of D[S] needs no induced copy.
 Large and sharp witnesses are re-scored once by definition.
-The partition numbers try k = 1, 2, ... and walk restricted-growth strings,
-adding the vertices in ascending order.  The two colouring numbers start at
-the size of a greedy clique instead, re-checked pairwise first: of the
-underlying graph for independent parts, of the digons for acyclic ones (and at
-least 2 if there is a dicycle).  The searches test only the parts the walk
-builds, one vertex at a time: a predicate says whether a valid part plus the
-next vertex is still valid, and pruning is sound because every part kind is
+The partition numbers try k = lower, lower + 1, ... and walk
+restricted-growth strings, adding the vertices in ascending order.  The two
+colouring numbers start at the size of a greedy clique, re-checked pairwise
+first: of the underlying graph for independent parts, of the digons for
+acyclic ones (and at least 2 if there is a dicycle).  The kernel-perfect
+number starts at 2 if D holds an induced directed triangle, re-checked arc by
+arc first, and else at 1.  The searches test only the parts the walk builds,
+one vertex at a time: a predicate says whether a valid part plus the next
+vertex is still valid, and pruning is sound because every part kind is
 hereditary.  Independence is one mask test and acyclicity one reachability
-search.  Kernel-perfectness accepts a sink or a source at once, accepts when
-no odd closed walk runs through the new vertex (Richardson's theorem), and
-otherwise marks, as bits of one int, the subsets of its strong component that
-contain it and have a kernel.  The returned parts are re-checked to cover the
-vertex set without overlap, and acyclic and independent parts to be of their
-kind.  Free vertices below a core that fails multiply each pass below the
-answer; when the clique bound is below the answer (Mycielski graphs), these
-passes still run, and such inputs are PARTITION_BUDGET's worst case.
+search.  Kernel-perfectness tries three rules and a reject, in the order
+below (proofs at ``_kernel_perfect_extends``):
+
+* rule 1 accepts if the new vertex is a sink or a source of the part: a
+  kernel of each subset extends to one with it;
+* the reject: the vertex closes an induced directed triangle, which has no
+  kernel;
+* rule 2 accepts if no odd closed walk runs through the vertex: a least
+  subset without a kernel would be strongly connected and have an odd
+  dicycle through it (Richardson, 1953);
+* rule 3 accepts if the one-way arcs of the vertex's strong component C
+  form no dicycle: then every dicycle of C has a symmetric arc, and C is
+  kernel-perfect (Duchet, 1980).  Otherwise it marks, as bits of one int,
+  the subsets of C that contain the vertex and have a kernel.
+
+The returned parts are re-checked to cover the vertex set without overlap,
+and acyclic and independent parts to be of their kind.  Free vertices below
+a core that fails multiply each pass below the answer; when the clique bound
+is below the answer (Mycielski graphs), these passes still run, and such
+inputs are PARTITION_BUDGET's worst case.
 
 ``kernel_perfect_number`` is the least k with a partition into kernel-perfect
 parts; it is bounded above by the dichromatic number (acyclic parts) which is
@@ -52,6 +66,7 @@ from dataclasses import dataclass
 from .digraph import (
     Digraph,
     Partition,
+    _is_acyclic_rows,
     _parity_reach,
     _row_union,
     check_partition,
@@ -392,6 +407,11 @@ def _underlying_rows(d: Digraph) -> list[int]:
     return [row | in_row for row, in_row in zip(d.rows, d.in_rows)]
 
 
+def _one_way_rows(d: Digraph) -> list[int]:
+    """The arcs u -> w of D without w -> u, as out-rows."""
+    return [row & ~in_row for row, in_row in zip(d.rows, d.in_rows)]
+
+
 def _independent_extends(d: Digraph):
     und = _underlying_rows(d)
     return lambda part, v: not und[v] & part
@@ -475,8 +495,26 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     return marked.bit_count() == 1 << (s.bit_count() - 1)
 
 
+def _induced_triangle(rows, in_rows, s: int, v: int) -> int:
+    """The mask {u, w} of the least u, then the least w, inside S with
+    v -> u -> w -> v and none of u -> v, w -> u, v -> w; 0 if there is none."""
+    behind = in_rows[v] & ~rows[v] & s
+    if not behind:
+        return 0
+    ahead = rows[v] & ~in_rows[v] & s
+    while ahead:
+        low = ahead & -ahead
+        u = low.bit_length() - 1
+        hit = rows[u] & ~in_rows[u] & behind
+        if hit:
+            return low | hit & -hit
+        ahead ^= low
+    return 0
+
+
 def _kernel_perfect_extends(d: Digraph):
-    """Kernel-perfect parts, tried by three rules in order.
+    """Kernel-perfect parts, tried by three rules and one reject, in the
+    order rule 1, reject, rule 2, rule 3.
 
     1. v is a sink or a source of ``part | v``: accept.  Let T be any subset
        of ``part``.  If v is a sink, a kernel of T - N^-(v) plus v is a
@@ -484,6 +522,11 @@ def _kernel_perfect_extends(d: Digraph):
        into T, and N^-(v) has an arc into v.  If v is a source, take a
        kernel K of T; it is one of T + v if v has an arc into K, and else
        K + v is one, since no arc joins v and K.
+
+    Reject: ``part | v`` holds an induced directed triangle through v
+    (``_induced_triangle``).  The triangle has no kernel: each of its
+    vertices has its only in-neighbour among the three.
+
     2. No odd closed walk through v stays inside ``part | v``: accept.
        Take a least T + v without a kernel; it contains v, since ``part``
        is kernel-perfect, and all its proper subsets have kernels.  Were it
@@ -497,23 +540,30 @@ def _kernel_perfect_extends(d: Digraph):
        walk runs through v.  This holds whether or not ``part`` itself has
        an odd dicycle.
     3. Otherwise ``part | v`` is kernel-perfect iff C is, by the argument of
-       rule 2, and ``_kernel_perfect_through`` decides that.  Its verdicts
-       are memoised for the predicate's lifetime.
+       rule 2.  C is accepted if its one-way arcs (u -> w without w -> u)
+       form no dicycle: then every dicycle of C has a symmetric arc, and
+       such a digraph is kernel-perfect by Duchet's theorem (1980).  Else
+       ``_kernel_perfect_through`` decides.  Verdicts are memoised for the
+       predicate's lifetime.
     """
     rows = d.rows
     in_rows = d.in_rows
     und = _underlying_rows(d)
+    one_way = _one_way_rows(d)
     verdicts: dict[int, bool] = {}
 
     def ok(part: int, v: int) -> bool:
         if not rows[v] & part or not in_rows[v] & part:
             return True
+        if _induced_triangle(rows, in_rows, part, v):
+            return False
         strong = _odd_strong_component(rows, in_rows, part | 1 << v, v)
         if not strong:
             return True
         verdict = verdicts.get(strong)
         if verdict is None:
-            verdict = verdicts[strong] = _kernel_perfect_through(rows, in_rows, und, strong, v)
+            verdict = verdicts[strong] = (_is_acyclic_rows(one_way, strong)
+                                          or _kernel_perfect_through(rows, in_rows, und, strong, v))
         return verdict
 
     return ok
@@ -522,15 +572,20 @@ def _kernel_perfect_extends(d: Digraph):
 def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
-    This is the k = 1 pass of ``kernel_perfect_number``'s search, under its
-    budget, on the copy ``induced(d, s)``: rule 3's table is indexed by mask,
-    so S is relabelled to 0..|S|-1 to keep the masks below 2^|S|.
+    S is accepted at once, in D's own labels, when its one-way arcs form no
+    dicycle (Duchet's theorem, as in rule 3 of ``_kernel_perfect_extends``).
+    Otherwise this is the k = 1 pass of ``kernel_perfect_number``'s search,
+    under its budget, on the copy ``induced(d, s)``: rule 3's table is
+    indexed by mask, so S is relabelled to 0..|S|-1 to keep the masks below
+    2^|S|.
     """
     check_set(d, s)
     if s.bit_count() > PARTITION_BUDGET:
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
+    if _is_acyclic_rows(_one_way_rows(d), s):
+        return True
     sub, _ = induced(d, s)
-    return not s or _rgs_assign(0, 0, sub.n, 1, [0], _kernel_perfect_extends(sub))
+    return _rgs_assign(0, 0, sub.n, 1, [0], _kernel_perfect_extends(sub))
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +667,26 @@ def _dichromatic_bound(d: Digraph) -> int:
     return lower if lower > 1 or is_acyclic_set(d, d.vertex_mask) else 2
 
 
+def _kernel_perfect_bound(d: Digraph) -> int:
+    """2 if D holds an induced directed triangle, which no kernel-perfect
+    part can hold, else 1.  The triangle is re-checked arc by arc first:
+    three vertices, each with one out-neighbour among them and no arc back
+    from it."""
+    rows = d.rows
+    in_rows = d.in_rows
+    for v in range(d.n):
+        pair = _induced_triangle(rows, in_rows, d.vertex_mask, v)
+        if pair:
+            triangle = pair | 1 << v
+            if triangle.bit_count() != 3 or any((rows[u] & triangle).bit_count() != 1
+                                                or rows[u] & in_rows[u] & triangle
+                                                for u in iter_bits(triangle)):
+                raise PostconditionViolationError(
+                    "kernel-perfect bound came from a set that is not an induced directed triangle")
+            return 2
+    return 1
+
+
 def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tuple[int, tuple[int, ...]]:
     """Least number of parts of ``kind`` covering the vertex set, with the
     parts of the first certifying partition in restricted-growth order.
@@ -640,7 +715,7 @@ def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tu
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     """Least number of kernel-perfect parts covering the vertex set, with the
     first certifying partition in restricted-growth order."""
-    k, parts = _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None)
+    k, parts = _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None, _kernel_perfect_bound)
     return k, Partition(parts)
 
 

@@ -198,6 +198,16 @@ def oracle_odd_strong_component(d, s, v):
     return (even | odd) & set().union(*_walk_ends(radj_of(d), set(s), v))
 
 
+def oracle_induced_triangle(d, s, v):
+    """{u, w} for the least u, then the least w, in s - {v} whose only arcs
+    with v are v -> u -> w -> v; the empty set if there is none."""
+    arcs = set(d.arcs())
+    for u, w in itertools.permutations(sorted(set(s) - {v}), 2):
+        if {(v, u), (u, w), (w, v)} <= arcs and not {(u, v), (w, u), (v, w)} & arcs:
+            return {u, w}
+    return set()
+
+
 def oracle_is_acyclic(d, s):
     """Repeatedly strip vertices with no out-neighbour inside s."""
     live = set(s)

@@ -4,7 +4,12 @@ corpus finishes, and one vertex more raises ``BudgetExceededError``.
 ``corpus(n)`` holds digraphs on exactly n >= 8 vertices that are hard for
 one search or another:
 
-* complete symmetric digraphs: the kernel-perfect check marks every subset;
+* complete symmetric digraphs: each vertex of a subset is a kernel of it.
+  They once made the kernel-perfect check mark every subset; having no
+  one-way arcs, they are now accepted at once by Duchet's theorem;
+* an odd-cycle blowup: the directed 5-cycle with complete symmetric blocks.
+  It has no induced directed triangle and its one-way arcs form dicycles,
+  so the kernel-perfect search reaches rule 3's subset table;
 * disjoint triangles and digons: the Moon--Moser extremes for maximal
   independent sets and quasi-kernels;
 * circulant and random tournaments;
@@ -48,6 +53,7 @@ from quasikernel import (
     min_quasi_kernel,
 )
 from quasikernel import solvers
+from quasikernel.digraph import _is_acyclic_rows
 from quasikernel.generators import make, parse_family
 from quasikernel.solvers import is_kernel_perfect, quasi_kernels
 
@@ -81,6 +87,7 @@ def corpus(n: int) -> dict[str, Digraph]:
         for seed in SEEDS:
             members[f"random p={p} {seed}"] = f"random:{n}:{p}:{seed}"
     members = {name: make(parse_family(expr)) for name, expr in members.items()}
+    members["odd-cycle blowup"] = odd_cycle_blowup(n)
     for k in (4, 5):
         members[f"mycielski M{k} acyclic"] = mycielski(k, n, False)
         members[f"mycielski M{k} parity"] = mycielski(k, n, True)
@@ -88,6 +95,16 @@ def corpus(n: int) -> dict[str, Digraph]:
     members["isolated then mycielski M4 parity"] = dg(
         n, [(u + pad, w + pad) for u, w in mycielski(4, n - pad, True).arcs()])
     return members
+
+
+def odd_cycle_blowup(n: int) -> Digraph:
+    """The directed 5-cycle with each vertex blown up into a complete
+    symmetric block of n // 5 or n // 5 + 1 consecutive labels, and an arc
+    from each vertex to each vertex of the next block."""
+    sizes = [n // 5 + (i < n % 5) for i in range(5)]
+    blocks = [range(sum(sizes[:i]), sum(sizes[:i + 1])) for i in range(5)]
+    return dg(n, [(u, w) for i, block in enumerate(blocks) for u in block
+                  for w in [*block, *blocks[(i + 1) % 5]] if u != w])
 
 
 def mycielski_edges(k: int) -> list[tuple[int, int]]:
@@ -161,6 +178,9 @@ def test_corpus_members_have_the_stated_order():
     assert chromatic_number(mycielski(4, 11, True)) == 4
     loose = corpus(13)["isolated then mycielski M4 parity"]
     assert solvers._chromatic_bound(loose) == 2 and chromatic_number(loose) == 4
+    blowup = corpus(13)["odd-cycle blowup"]
+    assert solvers._kernel_perfect_bound(blowup) == 1
+    assert not _is_acyclic_rows(solvers._one_way_rows(blowup), blowup.vertex_mask)
 
 
 @pytest.mark.slow

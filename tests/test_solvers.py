@@ -25,6 +25,7 @@ from quasikernel import (
 )
 from quasikernel import solvers
 from quasikernel.digraph import (
+    _is_acyclic_rows,
     digraph_from_code,
     expand_set,
     induced,
@@ -42,11 +43,14 @@ from quasikernel.solvers import (
     _dichromatic_bound,
     _greedy_clique,
     _independent_extends,
+    _induced_triangle,
     _is_kernel_of,
+    _kernel_perfect_bound,
     _kernel_perfect_extends,
     _kernel_perfect_through,
     _maximal_independent_sets,
     _maximalize_within,
+    _one_way_rows,
     _partition_number,
     _underlying_rows,
     check_set,
@@ -505,7 +509,7 @@ PART_SEARCHES = {
 }
 
 # part kind -> the lower bound its number's search starts from
-BOUNDS = {"acyclic": _dichromatic_bound, "independent": _chromatic_bound}
+BOUNDS = {"kernel-perfect": _kernel_perfect_bound, "acyclic": _dichromatic_bound, "independent": _chromatic_bound}
 
 
 def assert_clique_bounds(d, chromatic, dichromatic):
@@ -617,6 +621,8 @@ def test_kernel_perfect_rule_2_odd_walk(monkeypatch, n, arcs, part):
     assert _kernel_perfect_extends(d)(part, v)
 
 
+# each case is settled by a certificate before rule 3's table: the first by
+# the triangle reject, the other two by Duchet's acceptance
 @pytest.mark.parametrize("arcs,want", [
     ([(0, 1), (1, 2), (2, 0)], False),  # closes a directed triangle
     ([(0, 1), (1, 2), (2, 0), (2, 1)], True),  # the triangle 0 1 2 has a kernel
@@ -627,6 +633,154 @@ def test_kernel_perfect_rule_3(arcs, want):
     assert oracles.oracle_is_kernel_perfect(d, {0, 1, 2}) == want
     assert solvers._odd_strong_component(d.rows, d.in_rows, 0b111, 2) == 0b111
     assert _kernel_perfect_extends(d)(0b011, 2) == want
+
+
+@pytest.mark.parametrize("n,arcs,part", [
+    (3, [(0, 1), (1, 2), (2, 0)], 0b011),
+    # v = 3 closes 3 -> 0 -> 1 -> 3 over the acyclic part 0 -> 1, 0 -> 2, 2 -> 1
+    (4, [(0, 1), (0, 2), (2, 1), (3, 0), (1, 3), (2, 3)], 0b0111),
+])
+def test_kernel_perfect_triangle_reject(monkeypatch, n, arcs, part):
+    d = dg(n, arcs)
+    v = n - 1
+    assert d.rows[v] & part and d.in_rows[v] & part  # rule 1 does not apply
+    assert oracles.oracle_is_kernel_perfect(d, mask_to_set(part))
+    assert not oracles.oracle_is_kernel_perfect(d, set(range(n)))
+    monkeypatch.setattr(solvers, "_odd_strong_component", _rule_2_forbidden)
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
+    assert not _kernel_perfect_extends(d)(part, v)
+
+
+@pytest.mark.parametrize("n,arcs", [
+    (3, KP_TRIANGLE),
+    (3, [(0, 1), (1, 2), (2, 0), (2, 1)]),
+    # the directed 5-cycle with its arc 1 -> 2 doubled: the one-way arcs
+    # 2 -> 3 -> 4 -> 0 -> 1 form a path
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 1)]),
+])
+def test_kernel_perfect_rule_3_duchet(monkeypatch, n, arcs):
+    d = dg(n, arcs)
+    v = n - 1
+    part = d.vertex_mask ^ 1 << v
+    assert oracles.oracle_is_kernel_perfect(d, set(range(n)))
+    assert not _induced_triangle(d.rows, d.in_rows, part, v)
+    assert solvers._odd_strong_component(d.rows, d.in_rows, d.vertex_mask, v) == d.vertex_mask
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
+    assert _kernel_perfect_extends(d)(part, v)
+
+
+@pytest.mark.parametrize("n,arcs,want", [
+    # a directed 5-cycle closed at v = 4: no triangle, one-way arcs that cycle
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], False),
+    # the one-way 4-cycle 0 1 2 3 with the digon 0 2: kernel-perfect, and
+    # 3 -> 0 -> 2 -> 3 is an odd dicycle that is no induced triangle
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 0)], True),
+])
+def test_kernel_perfect_rule_3_table(monkeypatch, n, arcs, want):
+    d = dg(n, arcs)
+    v = n - 1
+    part = d.vertex_mask ^ 1 << v
+    assert oracles.oracle_is_kernel_perfect(d, mask_to_set(part))
+    assert oracles.oracle_is_kernel_perfect(d, set(range(n))) == want
+    assert not _is_acyclic_rows(_one_way_rows(d), d.vertex_mask)
+    calls = []
+    table = solvers._kernel_perfect_through
+
+    def spy(rows, in_rows, und, s, u):
+        calls.append((s, u))
+        return table(rows, in_rows, und, s, u)
+
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", spy)
+    assert _kernel_perfect_extends(d)(part, v) == want
+    assert calls == [(d.vertex_mask, v)]
+
+
+def test_induced_triangle_matches_a_triple_scan_exhaustively():
+    for n in range(5):
+        for d in all_digraphs(n):
+            for s in range(1 << n):
+                for v in range(n):
+                    assert mask_to_set(_induced_triangle(d.rows, d.in_rows, s, v)) == (
+                        oracles.oracle_induced_triangle(d, mask_to_set(s), v))
+
+
+def test_one_way_acyclic_sets_are_kernel_perfect_exhaustively():
+    """Duchet's theorem on every digraph with n <= 4 and every S."""
+    for n in range(5):
+        for d in all_digraphs(n):
+            one_way = _one_way_rows(d)
+            for s in range(1 << n):
+                if _is_acyclic_rows(one_way, s):
+                    assert oracles.oracle_is_kernel_perfect(d, mask_to_set(s))
+
+
+@st.composite
+def digon_heavy_digraphs(draw, lo, hi):
+    """Digraphs on lo..hi vertices in which each pair is a digon with
+    probability 3/7; a one-way arc mostly follows a drawn vertex order, so
+    that the one-way arcs often form no dicycle, and sometimes do not."""
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    order = draw(st.permutations(range(n)))
+    arcs = []
+    for i, j in itertools.combinations(range(n), 2):
+        u, w = order[i], order[j]
+        kind = draw(st.sampled_from(("digon", "digon", "digon", "none", "along", "along", "against")))
+        if kind != "none":
+            arcs += {"digon": [(u, w), (w, u)], "along": [(u, w)], "against": [(w, u)]}[kind]
+    return dg(n, arcs)
+
+
+@given(digon_heavy_digraphs(5, 8))
+@settings(max_examples=40, deadline=None)
+def test_one_way_acyclic_digraphs_are_kernel_perfect(d):
+    kernel_perfect = oracles.oracle_is_kernel_perfect(d, set(range(d.n)))
+    assert kernel_perfect or not _is_acyclic_rows(_one_way_rows(d), d.vertex_mask)
+    assert is_kernel_perfect(d, d.vertex_mask) == kernel_perfect
+
+
+def _copy_forbidden(*_):
+    raise AssertionError("an induced copy was built")
+
+
+def test_is_kernel_perfect_accepts_by_duchet_without_a_copy(monkeypatch):
+    monkeypatch.setattr(solvers, "induced", _copy_forbidden)
+    # KP_TRIANGLE on the last three of 40 vertices; its one-way arcs are 1 -> 2 -> 0
+    d = dg(40, [(37 + u, 37 + w) for u, w in KP_TRIANGLE])
+    assert is_kernel_perfect(d, mask_of([37, 38, 39]))
+    d = make(parse_family(f"random:{solvers.PARTITION_BUDGET}:1/1:0"))
+    assert is_kernel_perfect(d, d.vertex_mask)
+    assert is_kernel_perfect(d, 0)
+
+
+@pytest.mark.parametrize("spec,lower,k", [
+    ("cycle:3", 2, 2),
+    ("circulant:5", 2, 2),
+    ("cycle:5", 1, 2),  # an odd cycle without an induced triangle
+    ("cycle:4", 1, 1),
+    ("random:4:1/1:0", 1, 1),
+])
+def test_kernel_perfect_number_starts_at_two_on_a_triangle(monkeypatch, spec, lower, k):
+    starts = []
+    search = solvers._min_partition_rgs
+
+    def spy(n, ok, start):
+        starts.append(start)
+        return search(n, ok, start)
+
+    monkeypatch.setattr(solvers, "_min_partition_rgs", spy)
+    assert kernel_perfect_number(make(parse_family(spec)))[0] == k
+    assert starts == [lower]
+
+
+@pytest.mark.parametrize("n,arcs,pair", [
+    (3, KP_TRIANGLE, 0b110),  # 1 has two out-neighbours among the three
+    (3, [(0, 1), (1, 0), (2, 0)], 0b110),  # one out-neighbour each, but 0 and 1 form a digon
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)], 0b1110),  # four vertices
+])
+def test_kernel_perfect_bound_is_rechecked(monkeypatch, n, arcs, pair):
+    monkeypatch.setattr(solvers, "_induced_triangle", lambda rows, in_rows, s, v: pair)
+    with pytest.raises(PostconditionViolationError, match="not an induced directed triangle"):
+        kernel_perfect_number(dg(n, arcs))
 
 
 def test_odd_strong_component_matches_walk_oracle_exhaustively():
