@@ -45,8 +45,8 @@ below (proofs at ``_kernel_perfect_extends``):
   dicycle through it (Richardson, 1953);
 * rule 3 accepts if the one-way arcs of the vertex's strong component C
   form no dicycle: then every dicycle of C has a symmetric arc, and C is
-  kernel-perfect (Duchet, 1980).  Otherwise it marks, as bits of one int,
-  the subsets of C that contain the vertex and have a kernel.
+  kernel-perfect (Duchet, 1980).  Otherwise it marks the subsets of C that
+  contain the vertex and have a kernel, as bits of one int indexed by rank.
 
 The returned parts are re-checked to cover the vertex set without overlap,
 and acyclic and independent parts to be of their kind.  Free vertices below
@@ -71,7 +71,6 @@ from .digraph import (
     _row_union,
     check_partition,
     check_set,
-    induced,
     is_acyclic_set,
     is_independent,
     iter_bits,
@@ -464,34 +463,36 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     N^-(K), so each independent K inside S marks an interval of subsets.
     Only the sets that contain v are marked, so only a K holding v or an
     out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
-    The marks are the bits of one int, indexed by mask: an interval is the
-    subset indicator of its free vertices, built by one shift per vertex and
-    shifted onto K + v.  So the int has at most 2^PARTITION_BUDGET bits:
-    the partition searches stop at that order and ``is_kernel_perfect``
-    relabels S to 0..|S|-1.
+    The marks are the bits of one int, indexed by rank: u in S stands for
+    ``place[u]``, bit i for the i-th vertex of S, so the int has at most
+    2^|S| bits whatever the labels.  An interval is the subset indicator of
+    its free vertices, built by one shift per vertex and shifted onto K + v.
     """
+    place = [0] * s.bit_length()  # place[u] = 1 << (the rank of u in S)
+    for i, u in enumerate(iter_bits(s)):
+        place[u] = 1 << i
     bit = 1 << v
     hits = rows[v] & s | bit
     marked = 0
-    stack = [(0, s, 0)]  # (independent K, vertices that may still join K, N^-(K))
+    stack = [(0, s, 0, 0)]  # (independent K, vertices that may join K, N^-(K), K's rank mask)
     while stack:
-        k, rest, dominated = stack.pop()
+        k, rest, dominated, ranked = stack.pop()
         free = dominated & s & ~k
         if k & bit or free & bit:
             free &= ~bit
-            block = 1  # bit m is set for each subset m of free
+            block = 1  # bit m is set for the rank index m of each subset of free
             while free:
                 low = free & -free
-                block |= block << low
+                block |= block << place[low.bit_length() - 1]
                 free ^= low
-            marked |= block << (k | bit)
+            marked |= block << (ranked | place[v])
         while rest:
             low = rest & -rest
             rest ^= low
             u = low.bit_length() - 1
             grow = rest & ~und[u]
             if (k | low | grow) & hits:
-                stack.append((k | low, grow, dominated | in_rows[u]))
+                stack.append((k | low, grow, dominated | in_rows[u], ranked | place[u]))
     return marked.bit_count() == 1 << (s.bit_count() - 1)
 
 
@@ -572,20 +573,18 @@ def _kernel_perfect_extends(d: Digraph):
 def is_kernel_perfect(d: Digraph, s: int) -> bool:
     """True iff every subset of S induces a subdigraph that has a kernel.
 
-    S is accepted at once, in D's own labels, when its one-way arcs form no
-    dicycle (Duchet's theorem, as in rule 3 of ``_kernel_perfect_extends``).
-    Otherwise this is the k = 1 pass of ``kernel_perfect_number``'s search,
-    under its budget, on the copy ``induced(d, s)``: rule 3's table is
-    indexed by mask, so S is relabelled to 0..|S|-1 to keep the masks below
-    2^|S|.
+    In D's own labels: S is accepted at once when its one-way arcs form no
+    dicycle (Duchet's theorem, as in ``_kernel_perfect_extends``' rule 3),
+    else each vertex of S must extend the part of those below it, in the
+    k = 1 pass of ``kernel_perfect_number``'s search, under its budget.
     """
     check_set(d, s)
     if s.bit_count() > PARTITION_BUDGET:
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
     if _is_acyclic_rows(_one_way_rows(d), s):
         return True
-    sub, _ = induced(d, s)
-    return _rgs_assign(0, 0, sub.n, 1, [0], _kernel_perfect_extends(sub))
+    ok = _kernel_perfect_extends(d)
+    return all(ok(s & (1 << v) - 1, v) for v in iter_bits(s))
 
 
 # ---------------------------------------------------------------------------

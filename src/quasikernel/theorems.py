@@ -134,7 +134,8 @@ class SmallQkTrace:
     core          -- minimal subset of the kernel with the same in-neighbourhood;
     refined_parts -- the reshuffled partition (leftover kernel vertices,
                      in-neighbourhood slab plus core, then the shrunk parts);
-    remainder     -- everything outside the slab part;
+    remainder     -- everything outside the slab part; if it is empty, branch is
+                     "part:2" at once, covering nothing, and the result is the core;
     branch        -- "part:i" when part i was covered inside the remainder,
                      "otherwise" for the core-plus-steppers shape;
     result        -- the verified quasi-kernel.

@@ -154,15 +154,15 @@ def test_unchecked_construction_stays_in_the_stream():
 
 
 def test_induced_copies_stay_where_a_table_or_a_contract_needs_them():
-    # the constructions work on D[W] in D's own labels; only rule 3's table,
-    # indexed by mask, and the oracle contract, which takes a Digraph, need
-    # the relabelled copy
+    # the solvers and constructions work on D[S] in D's own labels, and rule
+    # 3's table is indexed by rank inside S; only the oracle contract, which
+    # takes a Digraph, needs the relabelled copy
     paths = ROOT.glob("src/quasikernel/*.py")
     readers = {p.name: scopes for p in paths if (scopes := _readers_of(p, "induced"))}
-    assert readers == {"reductions.py": ["<module>", "qk_via_ii_oracle"],
-                       "solvers.py": ["<module>", "is_kernel_perfect"]}
-    theorems = ROOT / "src/quasikernel/theorems.py"
-    assert [_readers_of(theorems, name) for name in ("compress_set", "expand_set")] == [[], []]
+    assert readers == {"reductions.py": ["<module>", "qk_via_ii_oracle"]}
+    for name in ("solvers.py", "theorems.py"):
+        path = ROOT / "src/quasikernel" / name
+        assert [_readers_of(path, fn) for fn in ("induced", "compress_set", "expand_set")] == [[], [], []]
 
 
 def test_every_definition_is_read_or_exported():

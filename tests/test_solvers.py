@@ -421,14 +421,19 @@ def test_is_kernel_perfect_matches_oracle_on_every_subset(d):
 
 
 def assert_kernel_perfect_through_matches_search(d):
-    """Against the has-kernel table of every subset, from ``find_kernel``."""
-    und = [d.rows[v] | d.in_rows[v] for v in range(d.n)]
+    """Against the has-kernel table of every subset, from ``find_kernel``,
+    on D and on D shifted up 50 labels: the table is indexed by rank, so it
+    must not depend on where S sits."""
+    up = dg(d.n + 50, [(u + 50, w + 50) for u, w in d.arcs()])
+    und = _underlying_rows(d)
+    und_up = _underlying_rows(up)
     subsets = range(1 << d.n)
     has_kernel = [find_kernel(induced(d, t)[0]).witness is not None for t in subsets]
     for s in subsets[1:]:
         for v in vertices_of(s):
             want = all(has_kernel[t] for t in subsets if t & ~s == 0 and t >> v & 1)
             assert _kernel_perfect_through(d.rows, d.in_rows, und, s, v) == want
+            assert _kernel_perfect_through(up.rows, up.in_rows, und_up, s << 50, v + 50) == want
 
 
 def test_kernel_perfect_through_matches_search():
@@ -447,13 +452,30 @@ def test_odd_free_digraphs_are_kernel_perfect(c4):
     assert is_kernel_perfect(c4, c4.vertex_mask)
 
 
-def test_is_kernel_perfect_on_high_labels():
+def test_is_kernel_perfect_on_high_labels(monkeypatch):
     # a directed triangle on the last three of 40 vertices: the check must
     # work on |S| vertices, not on masks as large as 2^39
     triangle = [(37, 38), (38, 39), (39, 37)]
     s = mask_of([37, 38, 39])
     assert not is_kernel_perfect(dg(40, triangle), s)
     assert is_kernel_perfect(dg(40, triangle + [(38, 37)]), s)
+    # two sets on labels 50..54 of 55 vertices that reach rule 3's table,
+    # whose int indexed by mask would need 2^55 bits: the directed 5-cycle
+    # and the kernel-perfect random:5:1/3:101, whose one-way arcs cycle
+    calls = []
+    table = solvers._kernel_perfect_through
+
+    def spy(rows, in_rows, und, s, u):
+        calls.append(u)
+        return table(rows, in_rows, und, s, u)
+
+    monkeypatch.setattr(solvers, "_kernel_perfect_through", spy)
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    for arcs, want in [(cycle, False), (list(make(parse_family("random:5:1/3:101")).arcs()), True)]:
+        assert oracles.oracle_is_kernel_perfect(dg(5, arcs), set(range(5))) == want
+        calls.clear()
+        assert is_kernel_perfect(dg(55, [(u + 50, w + 50) for u, w in arcs]), mask_of(range(50, 55))) == want
+        assert calls == [54]
 
 
 def test_is_kernel_perfect_budget():
@@ -738,12 +760,13 @@ def test_one_way_acyclic_digraphs_are_kernel_perfect(d):
     assert is_kernel_perfect(d, d.vertex_mask) == kernel_perfect
 
 
-def _copy_forbidden(*_):
-    raise AssertionError("an induced copy was built")
+def _pass_forbidden(*_):
+    raise AssertionError("the k = 1 pass ran")
 
 
 def test_is_kernel_perfect_accepts_by_duchet_without_a_copy(monkeypatch):
-    monkeypatch.setattr(solvers, "induced", _copy_forbidden)
+    # Duchet's test settles these before the k = 1 pass builds its predicate
+    monkeypatch.setattr(solvers, "_kernel_perfect_extends", _pass_forbidden)
     # KP_TRIANGLE on the last three of 40 vertices; its one-way arcs are 1 -> 2 -> 0
     d = dg(40, [(37 + u, 37 + w) for u, w in KP_TRIANGLE])
     assert is_kernel_perfect(d, mask_of([37, 38, 39]))
