@@ -8,7 +8,9 @@ a pure function over two value types defined here:
   iff the arc ``i -> j`` exists, and the order ``n`` is ``len(rows)``.
   Antiparallel pairs (directed 2-cycles) are allowed; parallel arcs and
   self-loops are not.
-* vertex sets -- plain ``int`` bit masks over ``0 .. n-1``.
+* vertex sets -- plain ``int`` bit masks over ``0 .. n-1``.  One rank table,
+  ``_ranks(S)``, moves a subset of S into the labels 0..|S|-1 of D[S]; every
+  relabelling in either direction is a ``_row_union`` over one-bit rows.
 
 Distance is shortest directed path length.  Set neighbourhoods are the
 distance-based ones:
@@ -70,26 +72,14 @@ def _row_union(rows, mask: int) -> int:
     return acc
 
 
-def expand_set(mask: int, embedding: tuple[int, ...]) -> int:
-    """Map a vertex set of an induced subdigraph back to original labels."""
-    return mask_of(embedding[j] for j in iter_bits(mask))
-
-
-def compress_set(mask: int, embedding: tuple[int, ...]) -> int:
-    """Map a vertex set given in original labels into induced labels.
-
-    Every vertex of ``mask`` must appear in ``embedding``.
-    """
-    out = 0
-    rest = mask
-    for j, orig in enumerate(embedding):
-        bit = 1 << orig
-        if rest & bit:
-            out |= 1 << j
-            rest ^= bit
-    if rest:
-        raise ValueError("set contains vertices outside the embedding")
-    return out
+def _ranks(s: int) -> list[int]:
+    """The rank table of S: ``place[u] = 1 << (the rank of u in S)`` for each
+    u in S, and 0 for the other labels below S's top vertex.  A subset T of
+    S is ``_row_union(place, T)`` in the labels of D[S]."""
+    place = [0] * s.bit_length()
+    for i, u in enumerate(iter_bits(s)):
+        place[u] = 1 << i
+    return place
 
 
 def check_order(n: int) -> None:
@@ -257,15 +247,16 @@ def sources_not_sinks(d: Digraph) -> int:
 
 
 def induced(d: Digraph, s: int) -> tuple[Digraph, tuple[int, ...]]:
-    """Subdigraph induced by S plus the embedding (new index -> old vertex).
+    """D[S] relabelled 0..|S|-1 by rank in S, plus its back rows.
 
-    Vertices are relabelled 0..|S|-1 in increasing original order, so
-    ``embedding[j]`` is the original label of new vertex ``j``.
+    Each row of the copy is ``_row_union(place, row & S)`` over the rank
+    table ``_ranks(S)``.  ``back[j] = 1 << (the label of rank j in D)``, so
+    a vertex set T' of the copy is ``_row_union(back, T')`` in D's labels.
     """
     check_set(d, s)
-    emb = vertices_of(s)
-    rows = d.rows
-    return Digraph([compress_set(rows[orig] & s, emb) for orig in emb]), emb
+    place = _ranks(s)
+    labels = vertices_of(s)
+    return Digraph([_row_union(place, d.rows[u] & s) for u in labels]), tuple(1 << u for u in labels)
 
 
 def disjoint_union(d1: Digraph, d2: Digraph) -> Digraph:

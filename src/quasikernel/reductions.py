@@ -33,7 +33,6 @@ from .digraph import (
     Digraph,
     _row_union,
     check_order,
-    expand_set,
     induced,
     is_sink_free,
     iter_bits,
@@ -217,7 +216,7 @@ def qk_via_ii_oracle(d: Digraph, alpha: Fraction,
 
     q = min_quasi_kernel(d).witness
     split = matching_split(d, q)
-    sub, emb = induced(d, split.q2 | split.m_set)
+    sub, back = induced(d, split.q2 | split.m_set)
     ores = oracle(sub)
     witness = ores.witness
     if witness is None or witness & ~sub.vertex_mask or not is_quasi_kernel(sub, witness):
@@ -227,7 +226,7 @@ def qk_via_ii_oracle(d: Digraph, alpha: Fraction,
         raise OracleContractError(
             f"oracle witness of size {witness.bit_count()} breaks the declared "
             f"bound on n={sub.n}, s={s_sub}, alpha={alpha}")
-    qp = expand_set(witness, emb)
+    qp = _row_union(back, witness)
     cand = qp | (split.q1 & ~n_minus_set(d, qp))
     if not is_quasi_kernel(d, cand):
         raise PostconditionViolationError("completed oracle witness is not a quasi-kernel")

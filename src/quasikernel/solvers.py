@@ -46,7 +46,8 @@ below (proofs at ``_kernel_perfect_extends``):
 * rule 3 accepts if the one-way arcs of the vertex's strong component C
   form no dicycle: then every dicycle of C has a symmetric arc, and C is
   kernel-perfect (Duchet, 1980).  Otherwise it marks the subsets of C that
-  contain the vertex and have a kernel, as bits of one int indexed by rank.
+  contain the vertex and have a kernel, as bits of one int indexed by rank
+  in C through ``digraph._ranks``, the table that also labels D[S] copies.
 
 The returned parts are re-checked to cover the vertex set without overlap,
 and acyclic and independent parts to be of their kind.  Free vertices below
@@ -68,6 +69,7 @@ from .digraph import (
     Partition,
     _is_acyclic_rows,
     _parity_reach,
+    _ranks,
     _row_union,
     check_partition,
     check_set,
@@ -411,8 +413,8 @@ def _one_way_rows(d: Digraph) -> list[int]:
     return [row & ~in_row for row, in_row in zip(d.rows, d.in_rows)]
 
 
-def _independent_extends(d: Digraph):
-    und = _underlying_rows(d)
+def _independent_extends(und: list[int]):
+    """Independent parts, from the underlying graph's rows ``und``."""
     return lambda part, v: not und[v] & part
 
 
@@ -464,13 +466,12 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     Only the sets that contain v are marked, so only a K holding v or an
     out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
     The marks are the bits of one int, indexed by rank: u in S stands for
-    ``place[u]``, bit i for the i-th vertex of S, so the int has at most
-    2^|S| bits whatever the labels.  An interval is the subset indicator of
-    its free vertices, built by one shift per vertex and shifted onto K + v.
+    ``place[u]`` of the rank table ``_ranks(S)``, bit i for the i-th vertex
+    of S, so the int has at most 2^|S| bits whatever the labels.  An
+    interval is the subset indicator of its free vertices, built by one
+    shift per vertex and shifted onto K + v.
     """
-    place = [0] * s.bit_length()  # place[u] = 1 << (the rank of u in S)
-    for i, u in enumerate(iter_bits(s)):
-        place[u] = 1 << i
+    place = _ranks(s)
     bit = 1 << v
     hits = rows[v] & s | bit
     marked = 0
@@ -513,9 +514,9 @@ def _induced_triangle(rows, in_rows, s: int, v: int) -> int:
     return 0
 
 
-def _kernel_perfect_extends(d: Digraph):
+def _kernel_perfect_extends(d: Digraph, one_way: list[int]):
     """Kernel-perfect parts, tried by three rules and one reject, in the
-    order rule 1, reject, rule 2, rule 3.
+    order rule 1, reject, rule 2, rule 3; ``one_way`` is ``_one_way_rows(d)``.
 
     1. v is a sink or a source of ``part | v``: accept.  Let T be any subset
        of ``part``.  If v is a sink, a kernel of T - N^-(v) plus v is a
@@ -550,7 +551,6 @@ def _kernel_perfect_extends(d: Digraph):
     rows = d.rows
     in_rows = d.in_rows
     und = _underlying_rows(d)
-    one_way = _one_way_rows(d)
     verdicts: dict[int, bool] = {}
 
     def ok(part: int, v: int) -> bool:
@@ -579,11 +579,11 @@ def is_kernel_perfect(d: Digraph, s: int) -> bool:
     k = 1 pass of ``kernel_perfect_number``'s search, under its budget.
     """
     check_set(d, s)
-    if s.bit_count() > PARTITION_BUDGET:
-        raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
-    if _is_acyclic_rows(_one_way_rows(d), s):
+    _check_partition_budget(s.bit_count())
+    one_way = _one_way_rows(d)
+    if _is_acyclic_rows(one_way, s):
         return True
-    ok = _kernel_perfect_extends(d)
+    ok = _kernel_perfect_extends(d, one_way)
     return all(ok(s & (1 << v) - 1, v) for v in iter_bits(s))
 
 
@@ -654,11 +654,6 @@ def _clique_bound(adj: list[int]) -> int:
     return clique.bit_count()
 
 
-def _chromatic_bound(d: Digraph) -> int:
-    """A clique of the underlying graph needs one part per vertex."""
-    return _clique_bound(_underlying_rows(d))
-
-
 def _dichromatic_bound(d: Digraph) -> int:
     """An acyclic part holds at most one vertex of a clique of digons, and
     a digraph with a dicycle needs two parts."""
@@ -686,22 +681,26 @@ def _kernel_perfect_bound(d: Digraph) -> int:
     return 1
 
 
-def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tuple[int, tuple[int, ...]]:
+def _check_partition_budget(n: int) -> None:
+    """Refuse a partition search on more than PARTITION_BUDGET vertices."""
+    if n > PARTITION_BUDGET:
+        raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
+
+
+def _partition_number(d: Digraph, kind: str, ok, lower: int, part_ok) -> tuple[int, tuple[int, ...]]:
     """Least number of parts of ``kind`` covering the vertex set, with the
     parts of the first certifying partition in restricted-growth order.
     ``kind`` only names the parts in error messages.
 
-    ``extends(d)`` is the search's predicate.  ``bound(d)``, if given, is a
-    certified lower bound on the answer, and the search starts there.  The
-    parts are re-checked before they are returned: that they partition the
-    vertex set and, when ``part_ok`` is given, that ``part_ok(d, part)``
-    holds for each one.  Kernel-perfect parts are not re-checked one by
-    one; that check is as exponential as the search.
+    ``ok`` is the search's predicate and ``lower`` a certified lower bound
+    on the answer, where the search starts.  The parts are re-checked
+    before they are returned: that they partition the vertex set and, when
+    ``part_ok`` is given, that ``part_ok(d, part)`` holds for each one.
+    Kernel-perfect parts are not re-checked one by one; that check is as
+    exponential as the search.  Callers refuse inputs over the budget
+    (``_check_partition_budget``) before they build ``ok`` or ``lower``.
     """
-    if d.n > PARTITION_BUDGET:
-        raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
-    lower = 1 if bound is None else bound(d)
-    k, parts = _min_partition_rgs(d.n, extends(d), lower)
+    k, parts = _min_partition_rgs(d.n, ok, lower)
     try:
         check_partition(d, parts)
     except ValueError as e:
@@ -714,18 +713,24 @@ def _partition_number(d: Digraph, kind: str, extends, part_ok, bound=None) -> tu
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     """Least number of kernel-perfect parts covering the vertex set, with the
     first certifying partition in restricted-growth order."""
-    k, parts = _partition_number(d, "kernel-perfect", _kernel_perfect_extends, None, _kernel_perfect_bound)
+    _check_partition_budget(d.n)
+    ok = _kernel_perfect_extends(d, _one_way_rows(d))
+    k, parts = _partition_number(d, "kernel-perfect", ok, _kernel_perfect_bound(d), None)
     return k, Partition(parts)
 
 
 def chromatic_number(d: Digraph) -> int:
-    """Chromatic number of the underlying undirected graph."""
-    return _partition_number(d, "independent", _independent_extends, is_independent, _chromatic_bound)[0]
+    """Chromatic number of the underlying undirected graph; a clique of it
+    needs one part per vertex."""
+    _check_partition_budget(d.n)
+    und = _underlying_rows(d)
+    return _partition_number(d, "independent", _independent_extends(und), _clique_bound(und), is_independent)[0]
 
 
 def dichromatic_number(d: Digraph) -> int:
     """Least number of acyclic parts covering the vertex set."""
-    return _partition_number(d, "acyclic", _acyclic_extends, is_acyclic_set, _dichromatic_bound)[0]
+    _check_partition_budget(d.n)
+    return _partition_number(d, "acyclic", _acyclic_extends(d), _dichromatic_bound(d), is_acyclic_set)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -157,12 +157,21 @@ def test_induced_copies_stay_where_a_table_or_a_contract_needs_them():
     # the solvers and constructions work on D[S] in D's own labels, and rule
     # 3's table is indexed by rank inside S; only the oracle contract, which
     # takes a Digraph, needs the relabelled copy
-    paths = ROOT.glob("src/quasikernel/*.py")
+    paths = sorted(ROOT.glob("src/quasikernel/*.py"))
     readers = {p.name: scopes for p in paths if (scopes := _readers_of(p, "induced"))}
     assert readers == {"reductions.py": ["<module>", "qk_via_ii_oracle"]}
-    for name in ("solvers.py", "theorems.py"):
-        path = ROOT / "src/quasikernel" / name
-        assert [_readers_of(path, fn) for fn in ("induced", "compress_set", "expand_set")] == [[], [], []]
+
+
+def test_one_rank_table_relabels_every_vertex_set():
+    # _ranks is the one encoding of "label S by rank": the copy's rows and
+    # rule 3's table read it, and no second mapping between the labels of D
+    # and of D[S] is defined
+    paths = sorted(ROOT.glob("src/quasikernel/*.py"))
+    readers = {p.name: scopes for p in paths if (scopes := _readers_of(p, "_ranks"))}
+    assert readers == {"digraph.py": ["induced"], "solvers.py": ["<module>", "_kernel_perfect_through"]}
+    defined = {p.name: _names_and_definitions(p)[1] for p in paths}
+    assert [(name, fn) for name, fns in defined.items() for fn in fns
+            if fn in ("compress_set", "expand_set")] == []
 
 
 def test_every_definition_is_read_or_exported():

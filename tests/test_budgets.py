@@ -186,7 +186,7 @@ def test_corpus_members_have_the_stated_order():
     assert len(mycielski_edges(4)) == 20 and len(mycielski_edges(5)) == 71
     assert chromatic_number(mycielski(4, 11, True)) == 4
     loose = corpus(13)["isolated then mycielski M4 parity"]
-    assert solvers._chromatic_bound(loose) == 2 and chromatic_number(loose) == 4
+    assert solvers._clique_bound(solvers._underlying_rows(loose)) == 2 and chromatic_number(loose) == 4
     blowup = corpus(13)["odd-cycle blowup"]
     assert solvers._kernel_perfect_bound(blowup) == 1
     assert not _is_acyclic_rows(solvers._one_way_rows(blowup), blowup.vertex_mask)

@@ -24,15 +24,15 @@ from quasikernel import (
 )
 from quasikernel.digraph import (
     _parity_reach,
+    _ranks,
+    _row_union,
     adjacency_code,
     check_partition,
-    compress_set,
     digraph_from_code,
     digraph_from_json,
     digraph_to_json,
     disjoint_union,
     dumps_json,
-    expand_set,
     induced,
     is_acyclic_set,
     is_independent,
@@ -249,25 +249,29 @@ def test_isolated_vertex_is_sink_not_source():
 
 def test_induced_relabels_in_order():
     d = dg(4, [(0, 2), (2, 3), (3, 0), (1, 3)])
-    sub, emb = induced(d, mask_of([0, 2, 3]))
-    assert emb == (0, 2, 3)
+    s = mask_of([0, 2, 3])
+    sub, back = induced(d, s)
+    assert back == (1 << 0, 1 << 2, 1 << 3)
+    assert _ranks(s) == [1 << 0, 0, 1 << 1, 1 << 2]
     assert list(sub.arcs()) == [(0, 1), (1, 2), (2, 0)]
 
 
-@given(digraphs, st.integers(min_value=0, max_value=(1 << 5) - 1))
-def test_induced_expand_compress_roundtrip(d, raw):
+@given(digraphs, st.integers(min_value=0, max_value=(1 << 5) - 1), st.integers(min_value=0))
+def test_induced_rank_table_roundtrip(d, raw, subset):
+    # a subset T of S goes to the copy's labels through the rank table and
+    # comes back through the back rows, and the copy's arcs are D's arcs
     s = raw & d.vertex_mask
-    sub, emb = induced(d, s)
-    assert sub.n == len(emb) == s.bit_count()
-    assert expand_set(sub.vertex_mask, emb) == s
-    assert compress_set(s, emb) == sub.vertex_mask
-    for u, v in sub.arcs():
-        assert d.rows[emb[u]] >> emb[v] & 1
-
-
-def test_compress_set_rejects_foreign_vertices():
-    with pytest.raises(ValueError):
-        compress_set(0b101, (0,))
+    t = subset & s
+    sub, back = induced(d, s)
+    place = _ranks(s)
+    assert sub.n == len(back) == s.bit_count()
+    assert [b.bit_count() for b in back] == [1] * sub.n
+    assert _row_union(back, sub.vertex_mask) == s
+    assert _row_union(place, s) == sub.vertex_mask
+    assert _row_union(back, _row_union(place, t)) == t
+    assert _row_union(place, t) == sum(1 << j for j, v in enumerate(vertices_of(s)) if t >> v & 1)
+    for u in range(sub.n):
+        assert _row_union(back, sub.rows[u]) == d.rows[back[u].bit_length() - 1] & s
 
 
 def test_disjoint_union_shifts_second():

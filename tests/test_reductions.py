@@ -14,6 +14,7 @@ from quasikernel import (
 )
 from quasikernel.digraph import is_sink_free, n_minus_set, serialize
 from quasikernel.generators import make, parse_family
+from quasikernel import reductions
 from quasikernel.reductions import (
     add_source_gadget,
     c3_blowup,
@@ -23,7 +24,7 @@ from quasikernel.reductions import (
 )
 from quasikernel.solvers import SolveResult, is_quasi_kernel, quasi_kernels
 
-from conftest import all_digraphs, dg
+from conftest import all_digraphs, dg, mask_to_set, set_to_mask
 
 
 sink_free_4_index = st.integers(min_value=0, max_value=7 ** 4 - 1)
@@ -273,6 +274,40 @@ def test_via_ii_oracle_bound_check_fires():
     res = qk_via_ii_oracle(d, Fraction(1, 2))
     assert res.witness == mask_of([0])
     assert 3 * res.witness.bit_count() <= 2 * d.n
+
+
+def _rank_copy(d, s):
+    """D[S] built from vertex sets: the i-th vertex of S becomes vertex i."""
+    rank = {v: i for i, v in enumerate(sorted(mask_to_set(s)))}
+    return Digraph.from_arcs(len(rank), [(rank[u], rank[w]) for u, w in d.arcs() if u in rank and w in rank])
+
+
+def test_via_ii_oracle_maps_the_largest_witness_back(monkeypatch):
+    # the oracle checks the copy it gets against D[Q2 + M] built from sets,
+    # then answers with the minimum quasi-kernel of largest mask, which sits
+    # at ranks the least one never uses; the completed candidate must be
+    # built from that witness in D's labels
+    checked = []
+    monkeypatch.setattr(reductions, "is_quasi_kernel", lambda d, q: checked.append((d, q)) or is_quasi_kernel(d, q))
+    for n in range(1, 5):
+        for d in all_digraphs(n, sink_free=True):
+            split = matching_split(d, min_quasi_kernel(d).witness)
+            s = split.q2 | split.m_set
+            answers = []
+
+            def largest_min(sub):
+                assert sub == _rank_copy(d, s)
+                size = min_quasi_kernel(sub).objective
+                witness = max(q for q in quasi_kernels(sub) if q.bit_count() == size)
+                labels = sorted(mask_to_set(s))
+                answers.append(set_to_mask(labels[i] for i in mask_to_set(witness)))
+                return SolveResult(witness, size, True)
+
+            checked.clear()
+            res = qk_via_ii_oracle(d, Fraction(1, 2), largest_min)
+            assert is_quasi_kernel(d, res.witness)
+            [qp] = answers
+            assert checked[-1] == (d, qp | (split.q1 & ~n_minus_set(d, qp)))
 
 
 @given(sink_free_4_index)

@@ -26,8 +26,8 @@ from quasikernel import (
 from quasikernel import solvers
 from quasikernel.digraph import (
     _is_acyclic_rows,
+    _row_union,
     digraph_from_code,
-    expand_set,
     induced,
     is_acyclic_set,
     is_independent,
@@ -39,7 +39,7 @@ from quasikernel.generators import make, parse_family, random_digraph
 from quasikernel.solvers import (
     SolveResult,
     _acyclic_extends,
-    _chromatic_bound,
+    _clique_bound,
     _dichromatic_bound,
     _greedy_clique,
     _independent_extends,
@@ -254,15 +254,15 @@ def _oracle_mis_masks(rows):
 
 
 def _subset_search_matches_induced_copy(d, s):
-    sub, emb = induced(d, s)
+    sub, back = induced(d, s)
     for size in SUBSET_SIZES:
         got = solvers._first_kernel(d, size, s)
-        want = solvers._first_kernel(sub, lambda mask: size(expand_set(mask, emb)), sub.vertex_mask)
-        assert got.witness == (None if want.witness is None else expand_set(want.witness, emb))
+        want = solvers._first_kernel(sub, lambda mask: size(_row_union(back, mask)), sub.vertex_mask)
+        assert got.witness == (None if want.witness is None else _row_union(back, want.witness))
         assert (got.objective, got.verified) == (want.objective, want.verified)
     got = list(_maximal_independent_sets(d, s))
     assert len(got) == len({q for q, _, _ in got})
-    assert set(got) == {tuple(expand_set(m, emb) for m in sets) for sets in _oracle_mis_masks(sub.rows)}
+    assert set(got) == {tuple(_row_union(back, m) for m in sets) for sets in _oracle_mis_masks(sub.rows)}
 
 
 def test_subset_search_matches_induced_copy_exhaustively():
@@ -523,11 +523,44 @@ def test_partition_budgets():
             fn(big)
 
 
-# part kind -> (oracle predicate, search predicate, re-check of each part)
+@pytest.mark.parametrize("call,want", [
+    # cycle:5's one-way arcs form a dicycle, so Duchet's test fails and the
+    # k = 1 pass runs on the same one-way rows
+    (lambda d: is_kernel_perfect(d, d.vertex_mask), {"_one_way_rows": 1, "_underlying_rows": 1}),
+    (kernel_perfect_number, {"_one_way_rows": 1, "_underlying_rows": 1}),
+    (chromatic_number, {"_underlying_rows": 1}),
+    (dichromatic_number, {}),
+], ids=["is_kernel_perfect", "kernel_perfect_number", "chromatic_number", "dichromatic_number"])
+def test_each_row_list_is_built_once_per_call(monkeypatch, call, want):
+    builds = {}
+    for name in ("_one_way_rows", "_underlying_rows"):
+        def counted(d, name=name, build=getattr(solvers, name)):
+            builds[name] = builds.get(name, 0) + 1
+            return build(d)
+        monkeypatch.setattr(solvers, name, counted)
+    call(make(parse_family("cycle:5")))
+    assert builds == want
+    # the budget refusal comes before any list is built
+    builds.clear()
+    with pytest.raises(BudgetExceededError, match="partition search budget"):
+        call(Digraph((0,) * (solvers.PARTITION_BUDGET + 1)))
+    assert builds == {}
+
+
+def _kp_extends(d):
+    return _kernel_perfect_extends(d, _one_way_rows(d))
+
+
+def _chromatic_bound(d):
+    return _clique_bound(_underlying_rows(d))
+
+
+# part kind -> (oracle predicate, search predicate of D, re-check of each part)
 PART_SEARCHES = {
-    "kernel-perfect": (oracles.oracle_is_kernel_perfect, _kernel_perfect_extends, None),
+    "kernel-perfect": (oracles.oracle_is_kernel_perfect, _kp_extends, None),
     "acyclic": (oracles.oracle_is_acyclic, _acyclic_extends, is_acyclic_set),
-    "independent": (oracles.oracle_is_independent, _independent_extends, is_independent),
+    "independent": (oracles.oracle_is_independent, lambda d: _independent_extends(_underlying_rows(d)),
+                    is_independent),
 }
 
 # part kind -> the lower bound its number's search starts from
@@ -555,10 +588,9 @@ def assert_partitions_match_oracle(d):
     for kind, (oracle_ok, extends, part_ok) in PART_SEARCHES.items():
         want_k, blocks = oracles.oracle_first_partition(d, oracle_ok)
         want = (want_k, tuple(set_to_mask(b) for b in blocks))
-        got[kind] = _partition_number(d, kind, extends, part_ok)
+        got[kind] = _partition_number(d, kind, extends(d), 1, part_ok)
         assert got[kind] == want, kind
-        if kind in BOUNDS:
-            assert _partition_number(d, kind, extends, part_ok, BOUNDS[kind]) == want, kind
+        assert _partition_number(d, kind, extends(d), BOUNDS[kind](d), part_ok) == want, kind
     assert_clique_bounds(d, got["independent"][0], got["acyclic"][0])
     k, parts = got["kernel-perfect"]
     assert kernel_perfect_number(d) == (k, Partition(parts))
@@ -625,7 +657,7 @@ def test_kernel_perfect_rule_1(monkeypatch, rule, arcs):
     assert oracles.oracle_is_kernel_perfect(d, {0, 1, 2, 3})
     monkeypatch.setattr(solvers, "_odd_strong_component", _rule_2_forbidden)
     monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
-    assert _kernel_perfect_extends(d)(0b0111, 3)
+    assert _kp_extends(d)(0b0111, 3)
 
 
 @pytest.mark.parametrize("n,arcs,part", [
@@ -640,7 +672,7 @@ def test_kernel_perfect_rule_2_odd_walk(monkeypatch, n, arcs, part):
     assert d.rows[v] & part and d.in_rows[v] & part  # rule 1 does not apply
     assert oracles.oracle_is_kernel_perfect(d, set(range(n)))
     monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
-    assert _kernel_perfect_extends(d)(part, v)
+    assert _kp_extends(d)(part, v)
 
 
 # each case is settled by a certificate before rule 3's table: the first by
@@ -654,7 +686,7 @@ def test_kernel_perfect_rule_3(arcs, want):
     d = dg(3, arcs)
     assert oracles.oracle_is_kernel_perfect(d, {0, 1, 2}) == want
     assert solvers._odd_strong_component(d.rows, d.in_rows, 0b111, 2) == 0b111
-    assert _kernel_perfect_extends(d)(0b011, 2) == want
+    assert _kp_extends(d)(0b011, 2) == want
 
 
 @pytest.mark.parametrize("n,arcs,part", [
@@ -670,7 +702,7 @@ def test_kernel_perfect_triangle_reject(monkeypatch, n, arcs, part):
     assert not oracles.oracle_is_kernel_perfect(d, set(range(n)))
     monkeypatch.setattr(solvers, "_odd_strong_component", _rule_2_forbidden)
     monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
-    assert not _kernel_perfect_extends(d)(part, v)
+    assert not _kp_extends(d)(part, v)
 
 
 @pytest.mark.parametrize("n,arcs", [
@@ -688,7 +720,7 @@ def test_kernel_perfect_rule_3_duchet(monkeypatch, n, arcs):
     assert not _induced_triangle(d.rows, d.in_rows, part, v)
     assert solvers._odd_strong_component(d.rows, d.in_rows, d.vertex_mask, v) == d.vertex_mask
     monkeypatch.setattr(solvers, "_kernel_perfect_through", _rule_3_forbidden)
-    assert _kernel_perfect_extends(d)(part, v)
+    assert _kp_extends(d)(part, v)
 
 
 @pytest.mark.parametrize("n,arcs,want", [
@@ -713,7 +745,7 @@ def test_kernel_perfect_rule_3_table(monkeypatch, n, arcs, want):
         return table(rows, in_rows, und, s, u)
 
     monkeypatch.setattr(solvers, "_kernel_perfect_through", spy)
-    assert _kernel_perfect_extends(d)(part, v) == want
+    assert _kp_extends(d)(part, v) == want
     assert calls == [(d.vertex_mask, v)]
 
 
@@ -819,16 +851,18 @@ def test_odd_strong_component_matches_walk_oracle_exhaustively():
 def test_partition_search_rechecks_the_cover(monkeypatch, kind):
     monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (2, (0b011, 0b110)))
     _, extends, part_ok = PART_SEARCHES[kind]
+    d = make(parse_family("cycle:3"))
     with pytest.raises(PostconditionViolationError, match="overlap"):
-        _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
+        _partition_number(d, kind, extends(d), 1, part_ok)
 
 
 @pytest.mark.parametrize("kind", ["acyclic", "independent"])
 def test_partition_search_rechecks_each_part(monkeypatch, kind):
     monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (1, (0b111,)))
     _, extends, part_ok = PART_SEARCHES[kind]
+    d = make(parse_family("cycle:3"))
     with pytest.raises(PostconditionViolationError, match=f"not {kind}"):
-        _partition_number(make(parse_family("cycle:3")), kind, extends, part_ok)
+        _partition_number(d, kind, extends(d), 1, part_ok)
 
 
 def test_chromatic_and_dichromatic_match_oracles():

@@ -19,6 +19,8 @@ from quasikernel import (
     vertices_of,
 )
 from quasikernel.digraph import (
+    _ranks,
+    _row_union,
     digraph_from_code,
     induced,
     is_acyclic_set,
@@ -34,6 +36,7 @@ from quasikernel.solvers import (
     _is_quasi_kernel_of,
     _maximalize_within,
     _min_partition_rgs,
+    _underlying_rows,
     is_kernel_perfect,
     is_quasi_kernel,
 )
@@ -53,7 +56,7 @@ def independent_partition(d):
     """Partition into independent parts (independent sets are kernel-perfect)."""
     if d.n == 0:
         return Partition(())
-    _, parts = _min_partition_rgs(d.n, _independent_extends(d), 1)
+    _, parts = _min_partition_rgs(d.n, _independent_extends(_underlying_rows(d)), 1)
     return Partition(parts)
 
 
@@ -91,21 +94,21 @@ def test_extend_postconditions(code, v):
 
 
 def _subset_helpers_match_oracles_on_the_copy(d, s):
-    sub, emb = induced(d, s)
-    label = {v: j for j, v in enumerate(emb)}
+    sub, back = induced(d, s)
+    place = _ranks(s)
     for q in range(1 << d.n):
         if q & ~s:
             assert not _is_quasi_kernel_of(d, q, s)
             assert not _is_kernel_of(d, q, s)
             continue
-        q_sub = {label[v] for v in mask_to_set(q)}
+        q_sub = mask_to_set(_row_union(place, q))
         is_qk = oracles.oracle_is_qk(sub, q_sub)
         assert _is_quasi_kernel_of(d, q, s) == is_qk
         assert _is_kernel_of(d, q, s) == oracles.oracle_is_kernel(sub, q_sub)
-        want = set_to_mask(emb[j] for j in oracles.oracle_extend(sub, q_sub))
+        want = _row_union(back, set_to_mask(oracles.oracle_extend(sub, q_sub)))
         assert _extend_within(d, q, s) == want
         if is_qk:
-            want = set_to_mask(emb[j] for j in oracles.oracle_maximalize(sub, q_sub))
+            want = _row_union(back, set_to_mask(oracles.oracle_maximalize(sub, q_sub)))
             assert _maximalize_within(d, q, s) == want
         else:
             with pytest.raises(ValueError, match="input is not a quasi-kernel"):
