@@ -15,14 +15,14 @@ and it builds only independent sets of at most a given size.  A branch is cut
 when what it covers plus what the vertices below its top free vertex could
 reach misses a vertex.  Enumeration takes every yield; the minimum search
 tries one vertex, then caps k = 2, 3, ..., and its first yield is the least
-mask of the least size.  Kernels, heavy independent sets and maximum (large,
-sharp) quasi-kernels are maximal independent sets Q.  Bron--Kerbosch with
-Tomita pivoting lists each with N^-(Q) and N^+(Q), and those searches keep
-the set with the least key, one expression over the three (size, or negated
-score), ties to the least mask: still the first optimum over all masks.
-Given a vertex set S, it lists those of D[S] in D's own labels instead, with
-both neighbourhoods clipped to S, so a kernel of D[S] needs no induced copy.
-Large and sharp witnesses are re-scored once by definition.
+mask of the least size.  Given a vertex set S, the kernel search lists the
+kernels of D[S] in D's own labels by what must absorb each vertex: one
+outside K with no arc into K needs itself or an out-neighbour in K.  A kernel
+is the large optimum when D has one.  Otherwise large, and always sharp and
+heavy, search maximal independent sets Q: Bron--Kerbosch with Tomita
+pivoting lists each with N^-(Q) and N^+(Q), and keeps the set with the least
+key (size, or negated score), ties to the least mask: still the first
+optimum over all masks.  Large and sharp witnesses are re-scored once.
 The partition numbers try k = lower, lower + 1, ... and walk
 restricted-growth strings, adding the vertices in ascending order.  The two
 colouring numbers start at the size of a greedy clique, re-checked pairwise
@@ -99,20 +99,17 @@ class SolveResult:
     verified: bool
 
 
-def _maximal_independent_sets(d: Digraph, s: int):
-    """Yield (Q, N^-(Q) & S, N^+(Q) & S) for every maximal independent set Q
-    of the underlying undirected graph of D[S], in no particular order, each
-    exactly once.  Only the kernel search of a grown set (``theorems._cover``)
-    passes less than ``d.vertex_mask``.
+def _maximal_independent_sets(d: Digraph):
+    """Yield (Q, N^-(Q), N^+(Q)) for every maximal independent set Q of the
+    underlying undirected graph of D, in no particular order, each exactly
+    once: for large without a kernel, sharp and heavy.
 
     Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
-    (TCS 2006).  There are at most 3^{|S|/3} such sets (Moon--Moser 1965),
-    reached by disjoint triangles.  The search starts with p = S, so it only
-    ever branches on vertices of S, and reads the rows clipped to S, which
-    are the rows of D[S] in D's labels.  Each branch ORs the new vertex's
-    rows into the neighbourhoods; no row meets the independent Q.
+    (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
+    reached by disjoint triangles.  Each branch ORs the new vertex's rows
+    into the neighbourhoods; no row meets the independent Q.
     """
-    n = s.bit_count()
+    n = d.n
     if n > MIS_BUDGET:
         raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
     if not n:
@@ -120,14 +117,11 @@ def _maximal_independent_sets(d: Digraph, s: int):
         return
     rows = d.rows
     in_rows = d.in_rows
-    if s != d.vertex_mask:
-        rows = [row & s for row in rows]
-        in_rows = [row & s for row in in_rows]
-    closed = [rows[v] | in_rows[v] | 1 << v for v in range(d.n)]
+    closed = [rows[v] | in_rows[v] | 1 << v for v in range(n)]
     # (r, p, x, ins, outs): r is independent with in- and out-neighbourhoods
-    # ins and outs; p and x hold the vertices of S with no arc to or from r,
+    # ins and outs; p and x hold the vertices with no arc to or from r,
     # those still to branch on and those already branched on
-    stack = [(0, s, 0, 0, 0)]
+    stack = [(0, d.vertex_mask, 0, 0, 0)]
     while stack:
         r, p, x, ins, outs = stack.pop()
         # every set still to report takes a vertex of p & closed[u] for each
@@ -159,20 +153,53 @@ def _maximal_independent_sets(d: Digraph, s: int):
             branch ^= low
 
 
-def _least_maximal_independent_set(d: Digraph, key, s: int):
-    """(key, mask) of the maximal independent set Q of D[S] with the least
-    ``key(Q, N^-(Q) & S, N^+(Q) & S)``, ties to the least mask; sets whose
-    key is None are skipped, and None is returned if all are."""
-    best = None
-    for mask, ins, outs in _maximal_independent_sets(d, s):
-        k = key(mask, ins, outs)
-        if k is not None and (best is None or (k, mask) < best):
-            best = k, mask
-    return best
+def _least_maximal_independent_set(d: Digraph, key):
+    """(key, mask) of the maximal independent set Q of D with the least
+    ``key(Q, N^-(Q), N^+(Q))``, ties to the least mask; sets whose key is
+    None are skipped, and None is returned if all are."""
+    return min(((k, mask) for mask, ins, outs in _maximal_independent_sets(d)
+                if (k := key(mask, ins, outs)) is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
 # kernels
+
+
+def _kernels(d: Digraph, s: int):
+    """Yield every kernel of D[S] in D's own labels, each exactly once.
+
+    A node is (K, p, loose): K is independent, p holds the vertices of S
+    that may still join K, and loose those of S outside K with no arc into
+    it.  A loose u must join K or send an arc into it, so every kernel below
+    the node holds a vertex of ``p & (rows[u] | u)``.  The search branches
+    on the smallest such set, cuts the node when it is empty, and takes each
+    branched vertex out of p for its later siblings, as Bron--Kerbosch does.
+    """
+    if s.bit_count() > MIS_BUDGET:
+        raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
+    rows, in_rows = d.rows, d.in_rows
+    stack = [(0, s, s)]
+    while stack:
+        k, p, loose = stack.pop()
+        if not loose:
+            yield k
+            continue
+        branch, least, probe = p, len(rows) + 1, loose
+        while probe:
+            low = probe & -probe
+            cand = p & (rows[low.bit_length() - 1] | low)
+            size = cand.bit_count()
+            if size < least:
+                branch, least = cand, size
+                if size <= 1:
+                    break
+            probe ^= low
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            stack.append((k | low, p & ~(rows[v] | in_rows[v] | low), loose & ~(in_rows[v] | low)))
+            p ^= low
+            branch ^= low
 
 
 def _is_kernel_of(d: Digraph, k: int, s: int) -> bool:
@@ -182,21 +209,15 @@ def _is_kernel_of(d: Digraph, k: int, s: int) -> bool:
 
 
 def find_kernel(d: Digraph) -> SolveResult:
-    """Lexicographically first kernel by (size, bit order), or None.
-
-    Only maximal independent sets are tried: every vertex outside a kernel
-    has an arc into it, so no vertex can join it and stay independent.
-    Absence is certified by the exhausted search, so ``verified`` is True
-    either way.
-    """
+    """Lexicographically first kernel by (size, bit order), or None; absence
+    is certified by the exhausted search, so ``verified`` is True either way."""
     return _first_kernel(d, int.bit_count, d.vertex_mask)
 
 
 def _first_kernel(d: Digraph, size, s: int) -> SolveResult:
-    """The kernel of D[S] least by (``size(mask)``, mask), searched in D's
-    own labels; the objective is that size."""
-    best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: size(mask) if mask | ins == s else None, s)
+    """The kernel of D[S] least by (``size(mask)``, mask) over ``_kernels``,
+    re-checked; the objective is that size."""
+    best = min(((size(mask), mask) for mask in _kernels(d, s)), default=None)
     if best is None:
         return SolveResult(None, 0, True)
     objective, mask = best
@@ -339,7 +360,7 @@ def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
             return None
         return -(mask.bit_count() + weight * ins.bit_count())
 
-    best = _least_maximal_independent_set(d, negated_objective, full)
+    best = _least_maximal_independent_set(d, negated_objective)
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")
     neg_obj, mask = best
@@ -351,8 +372,17 @@ def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
 
 
 def max_large_quasi_kernel(d: Digraph) -> SolveResult:
-    """Quasi-kernel maximizing |n_minus_closed(D, Q)|."""
-    return _max_quasi_kernel(d, 1, large_score)
+    """Quasi-kernel maximizing |n_minus_closed(D, Q)|, first optimum in mask
+    order.  No Q scores above n, and an independent Q scores n iff every
+    vertex outside it has an arc into it, that is iff Q is a kernel; every
+    kernel is a quasi-kernel.  So if D has a kernel, its least kernel mask
+    is the witness; else ``_max_quasi_kernel`` searches."""
+    kernel = min(_kernels(d, d.vertex_mask), default=None)
+    if kernel is None:
+        return _max_quasi_kernel(d, 1, large_score)
+    if not is_quasi_kernel(d, kernel) or large_score(d, kernel) != d.n:
+        raise PostconditionViolationError("kernel search returned a bad large quasi-kernel")
+    return SolveResult(kernel, d.n, True)
 
 
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
@@ -753,8 +783,7 @@ def heavy_independent_set(d: Digraph) -> int:
     and {3, 4, 5}, and none of them is in-heavy.
     """
     best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None,
-        d.vertex_mask)
+        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None)
     if best is None:
         raise PostconditionViolationError(
             "no in-heavy maximal independent set exists here; potential counterexample")

@@ -35,9 +35,9 @@ largest part yields ``n_minus_closed`` of size at least n/k.
 
 Every construction works on its ambient vertex set W in the digraph's own
 labels: all of V, the remainder outside the slab, or the sourceless core.
-The grown set stays inside W and dominates W, its kernel is searched on the
-grown set with neighbourhoods clipped to it, and the witness is checked as a
-quasi-kernel of D[W].  No induced copy is built.
+The grown set stays inside W and dominates W, the kernels of the grown set
+come from the solvers' kernel search on it in place, and the witness is
+checked as a quasi-kernel of D[W].  No induced copy is built.
 
 The paper proves the with-sources bound on a blowup of the core, where a
 vertex of weight w becomes an independent block of w twins.  Working on the

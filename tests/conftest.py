@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import importlib
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,19 @@ from quasikernel import Digraph, enumerate_digraphs
 from quasikernel.generators import make, parse_family, random_digraph
 
 import oracles
+
+# hypothesis's pytest plugin imports ``hypothesis.extra._patching`` only when
+# it reports a failing example.  That import pulls in libcst, which uses the
+# deprecated ``mypy_extensions.TypedDict``; under ``-W error`` the warning
+# turns the report into an INTERNALERROR and hides the falsifying example.
+# Importing the module here, with that one message ignored, keeps every
+# other warning an error (``tests/test_api.py`` checks both).
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", r"mypy_extensions\.TypedDict is deprecated", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:  # an older or slimmer hypothesis: nothing to pre-import
+        pass
 
 
 # JSON that the parser must refuse with ParseError, not with the error Python

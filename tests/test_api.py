@@ -1,7 +1,10 @@
 import ast
 import io
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -188,3 +191,40 @@ def test_every_definition_is_read_or_exported():
                        for p in sources for scope in reads[p].get(node.name, [])):
                 unread.append(f"{path.name}: {node.name}")
     assert unread == []
+
+
+PLANTED_FAILURES = """\
+import warnings
+
+from hypothesis import given, strategies as st
+
+import quasikernel.solvers
+
+
+def test_deprecation_from_the_package():
+    warnings.warn_explicit("planted", DeprecationWarning, quasikernel.solvers.__file__, 1,
+                           module="quasikernel.solvers")
+
+
+@given(st.integers(min_value=0, max_value=3))
+def test_falsified(x):
+    assert x < 2
+"""
+
+
+def test_warnings_stay_errors_and_hypothesis_reports_survive(tmp_path):
+    # conftest pre-imports hypothesis's patching module with one third-party
+    # DeprecationWarning ignored; under -W error a DeprecationWarning raised
+    # in quasikernel's code must still fail its test, and a failing @given
+    # test must still print its falsifying example
+    (tmp_path / "test_planted.py").write_text(PLANTED_FAILURES)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "conftest",
+                          "-p", "no:cacheprovider", "test_planted.py"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "DeprecationWarning: planted" in out
+    assert "Falsifying example: test_falsified(" in out
+    assert "2 failed" in out

@@ -184,6 +184,20 @@ SOLVE_GOLDEN = [
      'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
     ("large", "random_tournament:6:3", "json", 0,
      '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
+    # no kernel on the first two, so large runs the maximal-independent-set
+    # search; the third has kernels, and large takes the least kernel mask
+    ("large", "random_tournament:16:1", "text", 0,
+     'witness: {5}\nsize: 1\nobjective: 12\nverified: true\n'),
+    ("large", "random_tournament:16:1", "json", 0,
+     '{"witness":[5],"size":1,"objective":12,"verified":true}\n'),
+    ("large", "cycle:15", "text", 0,
+     'witness: {0, 2, 4, 6, 8, 10, 12}\nsize: 7\nobjective: 14\nverified: true\n'),
+    ("large", "cycle:15", "json", 0,
+     '{"witness":[0,2,4,6,8,10,12],"size":7,"objective":14,"verified":true}\n'),
+    ("large", "random:16:1/4:3", "text", 0,
+     'witness: {1, 5, 6, 7, 10}\nsize: 5\nobjective: 16\nverified: true\n'),
+    ("large", "random:16:1/4:3", "json", 0,
+     '{"witness":[1,5,6,7,10],"size":5,"objective":16,"verified":true}\n'),
     ("sharp", "cycle:4", "text", 0,
      'witness: {0, 2}\nsize: 2\nobjective: 6\nverified: true\n'),
     ("sharp", "cycle:4", "json", 0,
@@ -212,6 +226,19 @@ SOLVE_GOLDEN = [
      'witness: none\n'),
     ("kernel", "random_tournament:6:3", "json", 0,
      '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
+    ("kernel", "random_tournament:16:1", "text", 0,
+     'witness: none\n'),
+    ("kernel", "random_tournament:16:1", "json", 0,
+     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
+    ("kernel", "cycle:15", "text", 0,
+     'witness: none\n'),
+    ("kernel", "cycle:15", "json", 0,
+     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
+    # the least kernel by size; large above takes the least by mask
+    ("kernel", "random:16:1/4:3", "text", 0,
+     'witness: {4, 5, 8, 11}\nsize: 4\nobjective: 4\nverified: true\n'),
+    ("kernel", "random:16:1/4:3", "json", 0,
+     '{"witness":[4,5,8,11],"size":4,"objective":4,"verified":true}\n'),
     ("heavy", "cycle:4", "text", 0,
      'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
     ("heavy", "cycle:4", "json", 0,

@@ -23,7 +23,7 @@ from quasikernel import (
     sharp_score,
     vertices_of,
 )
-from quasikernel import solvers
+from quasikernel import solvers, theorems
 from quasikernel.digraph import (
     _is_acyclic_rows,
     _row_union,
@@ -48,6 +48,7 @@ from quasikernel.solvers import (
     _kernel_perfect_bound,
     _kernel_perfect_extends,
     _kernel_perfect_through,
+    _kernels,
     _maximal_independent_sets,
     _maximalize_within,
     _one_way_rows,
@@ -215,7 +216,7 @@ def _digraphs_of_order(lo, hi):
 
 
 def _mis_matches_oracle(d):
-    got = list(_maximal_independent_sets(d, d.vertex_mask))
+    got = list(_maximal_independent_sets(d))
     masks = [q for q, _, _ in got]
     assert len(masks) == len(set(masks))
     assert {frozenset(vertices_of(m)) for m in masks} == set(oracles.oracle_maximal_independent_sets(d))
@@ -244,13 +245,10 @@ SUBSET_SIZES = (int.bit_count, lambda mask: sum((3 * v) % 4 + 1 for v in vertice
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle_mis_masks(rows):
-    """(Q, N^-(Q), N^+(Q)) as masks for every maximal independent set Q of
-    Digraph(rows), by the oracles; cached, since many S induce one copy."""
-    d = Digraph(rows)
-    return frozenset((set_to_mask(q), set_to_mask(oracles.oracle_n_minus(d, q)),
-                      set_to_mask(oracles.oracle_n_plus(d, q)))
-                     for q in oracles.oracle_maximal_independent_sets(d))
+def _oracle_kernel_masks(rows):
+    """The kernels of Digraph(rows) as masks, by the oracles; cached, since
+    many S induce one copy."""
+    return frozenset(set_to_mask(k) for k in oracles.oracle_kernels(Digraph(rows)))
 
 
 def _subset_search_matches_induced_copy(d, s):
@@ -260,9 +258,9 @@ def _subset_search_matches_induced_copy(d, s):
         want = solvers._first_kernel(sub, lambda mask: size(_row_union(back, mask)), sub.vertex_mask)
         assert got.witness == (None if want.witness is None else _row_union(back, want.witness))
         assert (got.objective, got.verified) == (want.objective, want.verified)
-    got = list(_maximal_independent_sets(d, s))
-    assert len(got) == len({q for q, _, _ in got})
-    assert set(got) == {tuple(_row_union(back, m) for m in sets) for sets in _oracle_mis_masks(sub.rows)}
+    got = list(_kernels(d, s))
+    assert len(got) == len(set(got))
+    assert set(got) == {_row_union(back, k) for k in _oracle_kernel_masks(sub.rows)}
 
 
 def test_subset_search_matches_induced_copy_exhaustively():
@@ -272,7 +270,7 @@ def test_subset_search_matches_induced_copy_exhaustively():
                 _subset_search_matches_induced_copy(d, s)
 
 
-@given(seeded_digraphs(5, 8), st.integers(min_value=0, max_value=(1 << 8) - 1))
+@given(seeded_digraphs(5, 9), st.integers(min_value=0, max_value=(1 << 9) - 1))
 @settings(max_examples=80, deadline=None)
 def test_subset_search_matches_induced_copy(d, s):
     _subset_search_matches_induced_copy(d, s & d.vertex_mask)
@@ -305,9 +303,43 @@ def test_max_witness_is_first_optimum(d):
     _max_witness_is_first_optimum(d)
 
 
+def test_max_large_is_the_least_kernel_exhaustively():
+    # only a kernel covers every vertex in one step, so when D has one the
+    # large optimum is n and its first witness the least kernel mask
+    for n in range(5):
+        for d in all_digraphs(n):
+            kernels = oracles.oracle_kernels(d)
+            if kernels:
+                assert max_large_quasi_kernel(d) == SolveResult(min(map(set_to_mask, kernels)), n, True)
+
+
+@pytest.mark.parametrize("family,fake", [("cycle:4", 0b0001), ("cycle:3", 0b001), ("cycle:4", 0b0011)])
+def test_kernel_search_witnesses_are_rechecked(monkeypatch, family, fake):
+    # {0} of the 4-cycle is no quasi-kernel, {0} of the triangle is one that
+    # scores 2 < 3, and {0, 1} is not independent
+    d = make(parse_family(family))
+    monkeypatch.setattr(solvers, "_kernels", lambda d, s: iter([fake]))
+    for search in (find_kernel, max_large_quasi_kernel,
+                   lambda d: theorems._cover(d, 0b1, int.bit_count, d.vertex_mask)):
+        with pytest.raises(PostconditionViolationError, match="kernel search returned"):
+            search(d)
+
+
+def test_kernel_search_budget_counts_s():
+    message = "^maximal independent set enumeration budget is n <= 32$"
+    wide = Digraph((0,) * 40)
+    assert list(_kernels(wide, (1 << 32) - 1 << 8)) == [(1 << 32) - 1 << 8]
+    with pytest.raises(BudgetExceededError, match=message):
+        next(_kernels(wide, (1 << 33) - 1))
+    for search in (find_kernel, max_large_quasi_kernel):
+        with pytest.raises(BudgetExceededError, match=message):
+            search(Digraph((0,) * 33))
+
+
 def test_max_quasi_kernels_on_the_empty_digraph():
     d = Digraph(())
-    assert list(_maximal_independent_sets(d, d.vertex_mask)) == [(0, 0, 0)]
+    assert list(_maximal_independent_sets(d)) == [(0, 0, 0)]
+    assert list(_kernels(d, 0)) == [0]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
 
@@ -935,17 +967,17 @@ def test_mis_neighbourhoods_are_rechecked(monkeypatch):
     heavy_free = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                         (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d, s: ((q, s, 0) for q, _, _ in real(d, s)))
+                        lambda d: ((q, d.vertex_mask, 0) for q, _, _ in real(d)))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
     # a set that is not maximal
-    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d, s: iter([(0, s, 0)]))
+    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d: iter([(0, d.vertex_mask, 0)]))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
     # on the directed triangle each single vertex is a quasi-kernel with one
     # in-neighbour; claiming two inflates the objective
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d, s: ((q, s & ~q, outs) for q, _, outs in real(d, s)))
+                        lambda d: ((q, d.vertex_mask & ~q, outs) for q, _, outs in real(d)))
     triangle = dg(3, [(0, 1), (1, 2), (2, 0)])
     for solver, _ in MAX_QK:
         with pytest.raises(PostconditionViolationError, match="objective"):
