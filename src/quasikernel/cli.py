@@ -4,12 +4,15 @@ Subcommands: solve, check, sweep, gen, kp, reduce.  Input digraphs are read
 from --input (default stdin) in the line format or, when the payload starts
 with '{', the JSON format.  Exit codes: 0 success / bound holds, 2 check or
 sweep found bound failures, 1 any error.  Identical invocations print
-byte-identical output.
+byte-identical output.  The argument parser is built once per process, on
+first use; subcommand handlers and solvers are looked up at call time, so
+rebinding a module attribute still takes effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -247,6 +250,18 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+# subcommand -> handler.  The lambdas look the handlers up at call time, as
+# SOLVERS does, since the parser that names the subcommands is kept.
+_COMMANDS = {
+    "solve": lambda args: _cmd_solve(args),
+    "check": lambda args: _cmd_check(args),
+    "sweep": lambda args: _cmd_sweep(args),
+    "gen": lambda args: _cmd_gen(args),
+    "kp": lambda args: _cmd_kp(args),
+    "reduce": lambda args: _cmd_reduce(args),
+}
+
+
 def _positive_int(token: str, kind: str) -> int:
     try:
         value = _decimal(token)
@@ -265,7 +280,10 @@ def _count(token: str) -> int:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``qk`` parser, built once per process on first use.  It holds no
+    handler: ``main`` dispatches on the subcommand through ``_COMMANDS``."""
     parser = _Parser(prog="qk", description="quasi-kernel solvers and conjecture sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,7 +293,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--set", default="", help="vertex list for --alg covering, e.g. 0,2")
     p.add_argument("--trace", action="store_true", help="emit the partition-small audit trace")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="check one bound on one digraph")
     p.add_argument("--conjecture", choices=harness.VARIANTS, required=True)
@@ -283,7 +300,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--sink-free", action="store_true")
     p.add_argument("--input", default="-")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("sweep", help="check a bound over all digraphs of a given order")
     p.add_argument("--n", type=_count, required=True)
@@ -295,30 +311,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--shard", type=_count, default=0)
     p.add_argument("--records", action="store_true", help="keep one record per digraph")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a named family digraph")
     p.add_argument("--family", required=True, help=" ".join(map(family_usage, FAMILIES)))
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("kp", help="kernel-perfect partition number with certificate")
     p.add_argument("--input", default="-")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_kp)
 
     p = sub.add_parser("reduce", help="apply a gadget or blowup")
     p.add_argument("--kind", required=True, help="gadget:C | wblowup:C | c3blowup")
     p.add_argument("--input", default="-")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=_cmd_reduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (_UsageError, ParseError, ValueError, BudgetExceededError, OSError) as e:
         print(f"qk: error: {e}", file=sys.stderr)
         return 1

@@ -22,12 +22,17 @@ is the large optimum when D has one.  Otherwise large, and always sharp and
 heavy, search maximal independent sets Q: Bron--Kerbosch with Tomita
 pivoting lists each with N^-(Q) and N^+(Q), and keeps the set with the least
 key (size, or negated score), ties to the least mask: still the first
-optimum over all masks.  Large and sharp witnesses are re-scored once.
+optimum over all masks.  Heavy's key is the size, so its search drops every
+node whose set is already as large as the best in-heavy set found; the nodes
+that can still tie are kept.  Large and sharp witnesses are re-scored once.
 The partition numbers try k = lower, lower + 1, ... and walk
 restricted-growth strings, adding the vertices in ascending order.  The two
 colouring numbers start at the size of a greedy clique, re-checked pairwise
 first: of the underlying graph for independent parts, of the digons for
-acyclic ones (and at least 2 if there is a dicycle).  The kernel-perfect
+acyclic ones (and at least 2 if there is a dicycle).  The chromatic number
+also builds a first-fit colouring, largest degree first, re-checked as a
+partition into independent parts; only the passes below its size run, and
+it is the answer when they all fail.  The kernel-perfect
 number starts at 2 if D holds an induced directed triangle, re-checked arc by
 arc first, and else at 1.  The searches test only the parts the walk builds,
 one vertex at a time: a predicate says whether a valid part plus the next
@@ -99,15 +104,21 @@ class SolveResult:
     verified: bool
 
 
-def _maximal_independent_sets(d: Digraph):
-    """Yield (Q, N^-(Q), N^+(Q)) for every maximal independent set Q of the
-    underlying undirected graph of D, in no particular order, each exactly
-    once: for large without a kernel, sharp and heavy.
+def _maximal_independent_sets(d: Digraph, cap: list[int]):
+    """Yield (Q, N^-(Q), N^+(Q)) for the maximal independent sets Q of the
+    underlying undirected graph of D with at most ``cap[0]`` vertices, in no
+    particular order, each exactly once: for large without a kernel, sharp
+    and heavy.
 
     Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
     (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
     reached by disjoint triangles.  Each branch ORs the new vertex's rows
     into the neighbourhoods; no row meets the independent Q.
+
+    ``cap`` is a one-item list that the caller may lower between yields.  A
+    node whose R already has ``cap[0]`` vertices is dropped, since every set
+    below it has more: every set of at most the final ``cap[0]`` vertices is
+    yielded, and none larger than ``cap[0]`` at its yield.
     """
     n = d.n
     if n > MIS_BUDGET:
@@ -124,6 +135,8 @@ def _maximal_independent_sets(d: Digraph):
     stack = [(0, d.vertex_mask, 0, 0, 0)]
     while stack:
         r, p, x, ins, outs = stack.pop()
+        if r.bit_count() >= cap[0]:
+            continue
         # every set still to report takes a vertex of p & closed[u] for each
         # u in p | x (else u could join it), so branch on the smallest one
         branch = p
@@ -153,12 +166,23 @@ def _maximal_independent_sets(d: Digraph):
             branch ^= low
 
 
-def _least_maximal_independent_set(d: Digraph, key):
+def _least_maximal_independent_set(d: Digraph, key, sized: bool = False):
     """(key, mask) of the maximal independent set Q of D with the least
     ``key(Q, N^-(Q), N^+(Q))``, ties to the least mask; sets whose key is
-    None are skipped, and None is returned if all are."""
-    return min(((k, mask) for mask, ins, outs in _maximal_independent_sets(d)
-                if (k := key(mask, ins, outs)) is not None), default=None)
+    None are skipped, and None is returned if all are.
+
+    ``sized`` says that a key, where not None, is |Q|.  Then the search is
+    capped at the best key found, so it drops only sets larger than it,
+    which cannot win; the sets that tie with it are still compared."""
+    cap = [d.n]
+    best = None
+    for mask, ins, outs in _maximal_independent_sets(d, cap):
+        k = key(mask, ins, outs)
+        if k is not None and (best is None or (k, mask) < best):
+            best = k, mask
+            if sized:
+                cap[0] = k
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -621,24 +645,25 @@ def is_kernel_perfect(d: Digraph, s: int) -> bool:
 # partition numbers
 
 
-def _min_partition_rgs(n: int, ok, lower: int) -> tuple[int, tuple[int, ...]]:
-    """Least k >= ``lower`` admitting a partition into valid parts; first
-    witness in restricted-growth-string order.
+def _min_partition_rgs(n: int, ok, lower: int, upper: int) -> tuple[int, tuple[int, ...]] | None:
+    """Least k with ``lower <= k < upper`` admitting a partition into valid
+    parts, with the first witness in restricted-growth-string order; None if
+    no such k does.
 
     ``ok(part, v)`` says whether a valid part plus the vertex v above all of
     its vertices is still valid.  Singletons must be valid (true for the
-    three part kinds used here), so k = n always succeeds.  Validity must be
-    hereditary, which justifies pruning as soon as a growing part fails.
+    three part kinds used here), so a pass at k = n succeeds.  Validity must
+    be hereditary, which justifies pruning as soon as a growing part fails.
     Each pass is independent of the others, so starting at a ``lower`` no
     larger than the answer only skips passes that would fail.
     """
     if n == 0:
         return 0, ()
-    for k in range(lower, n + 1):
+    for k in range(lower, upper):
         parts = [0] * k
         if _rgs_assign(0, 0, n, k, parts, ok):
             return k, tuple(parts)
-    raise AssertionError("partition search fell through; singletons must satisfy the predicate")
+    return None
 
 
 def _rgs_assign(v: int, used: int, n: int, k: int, parts: list[int], ok) -> bool:
@@ -717,27 +742,46 @@ def _check_partition_budget(n: int) -> None:
         raise BudgetExceededError(f"partition search budget is n <= {PARTITION_BUDGET}")
 
 
-def _partition_number(d: Digraph, kind: str, ok, lower: int, part_ok) -> tuple[int, tuple[int, ...]]:
+def _check_parts(d: Digraph, kind: str, source: str, parts, part_ok) -> None:
+    """Raise unless ``parts`` partition the vertex set and, when ``part_ok``
+    is given, ``part_ok(d, part)`` holds for each one; ``source`` names where
+    the parts came from."""
+    try:
+        check_partition(d, parts)
+    except ValueError as e:
+        raise PostconditionViolationError(f"{kind} {source} returned a bad partition: {e}") from e
+    if part_ok is not None and not all(part_ok(d, part) for part in parts):
+        raise PostconditionViolationError(f"{kind} {source} returned a part that is not {kind}")
+
+
+def _partition_number(d: Digraph, kind: str, ok, lower: int, part_ok,
+                      colouring=None) -> tuple[int, tuple[int, ...]]:
     """Least number of parts of ``kind`` covering the vertex set, with the
     parts of the first certifying partition in restricted-growth order.
     ``kind`` only names the parts in error messages.
 
     ``ok`` is the search's predicate and ``lower`` a certified lower bound
-    on the answer, where the search starts.  The parts are re-checked
-    before they are returned: that they partition the vertex set and, when
-    ``part_ok`` is given, that ``part_ok(d, part)`` holds for each one.
-    Kernel-perfect parts are not re-checked one by one; that check is as
-    exponential as the search.  Callers refuse inputs over the budget
+    on the answer, where the search starts.  ``colouring`` is a partition
+    into valid parts, re-checked first; the search runs only the passes
+    below its size, and it is the answer if they all fail.  Without one,
+    the passes run up to k = n, which the singletons pass.  The parts found
+    are re-checked before they are returned: that they partition the vertex set
+    and, when ``part_ok`` is given, that ``part_ok(d, part)`` holds for each
+    one.  Kernel-perfect parts are not re-checked one by one; that check is
+    as exponential as the search.  Callers refuse inputs over the budget
     (``_check_partition_budget``) before they build ``ok`` or ``lower``.
     """
-    k, parts = _min_partition_rgs(d.n, ok, lower)
-    try:
-        check_partition(d, parts)
-    except ValueError as e:
-        raise PostconditionViolationError(f"{kind} partition search returned a bad partition: {e}") from e
-    if part_ok is not None and not all(part_ok(d, part) for part in parts):
-        raise PostconditionViolationError(f"{kind} partition search returned a part that is not {kind}")
-    return k, parts
+    upper = d.n + 1
+    if colouring is not None:
+        _check_parts(d, kind, "greedy colouring", colouring, part_ok)
+        upper = len(colouring)
+    found = _min_partition_rgs(d.n, ok, lower, upper)
+    if found is None:
+        if colouring is None:
+            raise AssertionError("partition search fell through; singletons must satisfy the predicate")
+        return len(colouring), colouring
+    _check_parts(d, kind, "partition search", found[1], part_ok)
+    return found
 
 
 def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
@@ -749,12 +793,33 @@ def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     return k, Partition(parts)
 
 
+def _greedy_colouring(und: list[int]) -> tuple[int, ...]:
+    """First-fit colouring of the underlying graph with rows ``und``: the
+    vertices in order of decreasing degree, ties to the least label, each
+    join the first part that ``_independent_extends`` accepts, else open a
+    new one (Welsh and Powell, 1967).  Independence does not need v above
+    the part's vertices."""
+    ok = _independent_extends(und)
+    parts: list[int] = []
+    for v in sorted(range(len(und)), key=lambda v: -und[v].bit_count()):
+        for j, part in enumerate(parts):
+            if ok(part, v):
+                parts[j] = part | 1 << v
+                break
+        else:
+            parts.append(1 << v)
+    return tuple(parts)
+
+
 def chromatic_number(d: Digraph) -> int:
-    """Chromatic number of the underlying undirected graph; a clique of it
-    needs one part per vertex."""
+    """Chromatic number of the underlying undirected graph.  A clique of it
+    needs one part per vertex, and a greedy colouring, re-checked first, is
+    a partition into independent parts: only the passes from the clique's
+    size up to below the colouring's run."""
     _check_partition_budget(d.n)
     und = _underlying_rows(d)
-    return _partition_number(d, "independent", _independent_extends(und), _clique_bound(und), is_independent)[0]
+    return _partition_number(d, "independent", _independent_extends(und), _clique_bound(und),
+                             is_independent, _greedy_colouring(und))[0]
 
 
 def dichromatic_number(d: Digraph) -> int:
@@ -771,7 +836,9 @@ def heavy_independent_set(d: Digraph) -> int:
     """Maximal independent set with at least as many in- as out-neighbours.
 
     Exhaustive: returns the first maximal independent set in (cardinality,
-    numeric) order with |n_minus_set| >= |n_plus_set|.  Greedy rules that
+    numeric) order with |n_minus_set| >= |n_plus_set|.  The search is capped
+    at the size of the best in-heavy set found so far, so it skips the sets
+    larger than that and still meets every tie.  Greedy rules that
     pick one in-heavy vertex at a time and delete its neighbourhood do not
     work; the digraph 1->0, 0->2, 3->1 defeats the natural one, because a
     later pick can feed arcs to vertices deleted earlier.
@@ -783,7 +850,8 @@ def heavy_independent_set(d: Digraph) -> int:
     and {3, 4, 5}, and none of them is in-heavy.
     """
     best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None)
+        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None,
+        sized=True)
     if best is None:
         raise PostconditionViolationError(
             "no in-heavy maximal independent set exists here; potential counterexample")

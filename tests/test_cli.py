@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from quasikernel import kernel_perfect_number, mask_of, parse
+from quasikernel import cli, kernel_perfect_number, mask_of, parse
 from quasikernel.digraph import digraph_to_json, serialize, sources_not_sinks
 from quasikernel.generators import make, parse_family
-from quasikernel.solvers import is_quasi_kernel
+from quasikernel.solvers import SolveResult, is_quasi_kernel
 from quasikernel.cli import main
 
 from conftest import HOSTILE_JSON, dg
@@ -671,6 +671,46 @@ def test_repeat_invocations_are_byte_identical(capsys, c4_file):
     first = run(capsys, argv)
     second = run(capsys, argv)
     assert first == second
+
+
+def test_parser_is_built_once_per_process(capsys, c4_file):
+    cli._build_parser.cache_clear()
+    for argv in (["solve", "--alg", "min", "--input", c4_file], ["gen", "--family", "cycle:3"],
+                 ["kp", "--input", c4_file], ["solve", "--alg", "nope"], ["--help"]):
+        run(capsys, argv)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+SMALL_GOLDEN = [case for case in SOLVE_GOLDEN
+                if case[1] in ("cycle:4", "random:7:1/3:5", "random_tournament:6:3") and case[3] == 0]
+
+
+@pytest.mark.parametrize("before", [
+    ["solve", "--alg", "nope"],  # a usage error inside a subparser
+    ["solve", "--alg", "min", "--bogus"],  # one left over after parsing
+    ["--help"],
+    ["solve", "--help"],
+])
+def test_usage_errors_and_help_leave_the_parser_as_it_was(capsys, tmp_path, before):
+    paths = {}
+    for family in {case[1] for case in SMALL_GOLDEN}:
+        paths[family] = tmp_path / f"{len(paths)}.dg"
+        paths[family].write_text(serialize(make(parse_family(family))))
+    assert len(SMALL_GOLDEN) > 40
+    for alg, family, fmt, code, stdout in SMALL_GOLDEN:
+        assert run(capsys, before)[0] in (0, 1)
+        got = run(capsys, ["solve", "--alg", alg, "--input", str(paths[family]),
+                           "--format", fmt] + GOLDEN_FLAGS.get(alg, []))
+        assert got == (code, stdout, ""), (alg, family, fmt)
+
+
+def test_rebinding_a_solver_or_a_handler_after_the_first_call_takes_effect(capsys, monkeypatch, c4_file):
+    argv = ["solve", "--alg", "min", "--input", c4_file, "--format", "json"]
+    assert run(capsys, argv)[:2] == (0, '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n')
+    monkeypatch.setattr(cli, "min_quasi_kernel", lambda d: SolveResult(0b1, 7, True))
+    assert run(capsys, argv)[:2] == (0, '{"witness":[0],"size":1,"objective":7,"verified":true}\n')
+    monkeypatch.setattr(cli, "_cmd_solve", lambda args: 5)
+    assert run(capsys, argv) == (5, "", "")
 
 
 def test_module_entry_point():

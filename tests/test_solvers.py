@@ -42,6 +42,7 @@ from quasikernel.solvers import (
     _clique_bound,
     _dichromatic_bound,
     _greedy_clique,
+    _greedy_colouring,
     _independent_extends,
     _induced_triangle,
     _is_kernel_of,
@@ -216,14 +217,20 @@ def _digraphs_of_order(lo, hi):
 
 
 def _mis_matches_oracle(d):
-    got = list(_maximal_independent_sets(d))
+    got = list(_maximal_independent_sets(d, [d.n]))
     masks = [q for q, _, _ in got]
     assert len(masks) == len(set(masks))
-    assert {frozenset(vertices_of(m)) for m in masks} == set(oracles.oracle_maximal_independent_sets(d))
+    maximal = set(oracles.oracle_maximal_independent_sets(d))
+    assert {frozenset(vertices_of(m)) for m in masks} == maximal
     for q, ins, outs in got:
         s = set(vertices_of(q))
         assert set(vertices_of(ins)) == oracles.oracle_n_minus(d, s)
         assert set(vertices_of(outs)) == oracles.oracle_n_plus(d, s)
+    # a cap held below n yields the sets of at most that many vertices
+    for c in range(d.n):
+        capped = [q for q, _, _ in _maximal_independent_sets(d, [c])]
+        assert len(capped) == len(set(capped))
+        assert {frozenset(vertices_of(m)) for m in capped} == {s for s in maximal if len(s) <= c}, c
 
 
 def test_maximal_independent_sets_match_oracle_exhaustively():
@@ -338,7 +345,7 @@ def test_kernel_search_budget_counts_s():
 
 def test_max_quasi_kernels_on_the_empty_digraph():
     d = Digraph(())
-    assert list(_maximal_independent_sets(d)) == [(0, 0, 0)]
+    assert list(_maximal_independent_sets(d, [0])) == [(0, 0, 0)]
     assert list(_kernels(d, 0)) == [0]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
@@ -647,6 +654,29 @@ def test_clique_bound_is_rechecked(monkeypatch, number, spec, non_clique):
         number(make(parse_family(spec)))
 
 
+@pytest.mark.parametrize("colouring,message", [
+    # both have more parts than the answer, 2, so only the first check sees them
+    ((0b0101, 0b1010, 0b0001), "overlap"),
+    ((0b0011, 0b0100, 0b1000), "not independent"),  # 0 and 1 are adjacent
+])
+def test_greedy_colouring_is_rechecked(monkeypatch, colouring, message):
+    monkeypatch.setattr(solvers, "_greedy_colouring", lambda und: colouring)
+    with pytest.raises(PostconditionViolationError, match=f"greedy colouring returned .*{message}"):
+        chromatic_number(make(parse_family("cycle:4")))
+
+
+def test_greedy_colouring_above_the_answer_runs_the_passes_below():
+    # the crown graph on 8 vertices, its sides alternating by label: 2i and
+    # 2j + 1 are adjacent iff i != j.  Every degree is 3, so first fit takes
+    # the vertices in label order and uses 4 colours, while the clique
+    # number and the chromatic number are 2
+    d = dg(8, [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j])
+    und = _underlying_rows(d)
+    assert _greedy_colouring(und) == (0b11, 0b1100, 0b110000, 0b11000000)
+    assert _clique_bound(und) == 2
+    assert chromatic_number(d) == 2 == oracles.oracle_chromatic(d)
+
+
 def test_partition_numbers_match_oracle_exhaustively():
     for n in range(5):
         for d in all_digraphs(n):
@@ -850,9 +880,9 @@ def test_kernel_perfect_number_starts_at_two_on_a_triangle(monkeypatch, spec, lo
     starts = []
     search = solvers._min_partition_rgs
 
-    def spy(n, ok, start):
+    def spy(n, ok, start, upper):
         starts.append(start)
-        return search(n, ok, start)
+        return search(n, ok, start, upper)
 
     monkeypatch.setattr(solvers, "_min_partition_rgs", spy)
     assert kernel_perfect_number(make(parse_family(spec)))[0] == k
@@ -881,7 +911,7 @@ def test_odd_strong_component_matches_walk_oracle_exhaustively():
 
 @pytest.mark.parametrize("kind", ["kernel-perfect", "acyclic", "independent"])
 def test_partition_search_rechecks_the_cover(monkeypatch, kind):
-    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (2, (0b011, 0b110)))
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower, upper: (2, (0b011, 0b110)))
     _, extends, part_ok = PART_SEARCHES[kind]
     d = make(parse_family("cycle:3"))
     with pytest.raises(PostconditionViolationError, match="overlap"):
@@ -890,7 +920,7 @@ def test_partition_search_rechecks_the_cover(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["acyclic", "independent"])
 def test_partition_search_rechecks_each_part(monkeypatch, kind):
-    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower: (1, (0b111,)))
+    monkeypatch.setattr(solvers, "_min_partition_rgs", lambda n, ok, lower, upper: (1, (0b111,)))
     _, extends, part_ok = PART_SEARCHES[kind]
     d = make(parse_family("cycle:3"))
     with pytest.raises(PostconditionViolationError, match=f"not {kind}"):
@@ -962,26 +992,48 @@ def test_heavy_set_absent_at_n6():
 
 
 def test_mis_neighbourhoods_are_rechecked(monkeypatch):
+    # each fake passes the caller's cap on, so heavy's faults go through the
+    # search it cuts
     real = solvers._maximal_independent_sets
+    caps = []
+
+    def spy(d, cap):
+        caps.append(cap)
+        return real(d, cap)
+
     # every set claims to be in-heavy: none of these three is
     heavy_free = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                         (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d: ((q, d.vertex_mask, 0) for q, _, _ in real(d)))
+                        lambda d, cap: ((q, d.vertex_mask, 0) for q, _, _ in spy(d, cap)))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
-    # a set that is not maximal
-    monkeypatch.setattr(solvers, "_maximal_independent_sets", lambda d: iter([(0, d.vertex_mask, 0)]))
+    assert caps == [[2]]  # the false claim of {0, 1} or {1, 2} cut the search at two vertices
+    # a set that is not maximal, met before the real ones
+    monkeypatch.setattr(solvers, "_maximal_independent_sets",
+                        lambda d, cap: itertools.chain([(0, d.vertex_mask, 0)], spy(d, cap)))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
+    assert caps[-1] == [0]
     # on the directed triangle each single vertex is a quasi-kernel with one
     # in-neighbour; claiming two inflates the objective
     monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d: ((q, d.vertex_mask & ~q, outs) for q, _, outs in real(d)))
+                        lambda d, cap: ((q, d.vertex_mask & ~q, outs) for q, _, outs in spy(d, cap)))
     triangle = dg(3, [(0, 1), (1, 2), (2, 0)])
     for solver, _ in MAX_QK:
         with pytest.raises(PostconditionViolationError, match="objective"):
             solver(triangle)
+
+
+def test_heavy_cut_keeps_ties_to_the_least_mask():
+    # the directed path 0 -> 1 -> 2 -> 3 has two least in-heavy maximal
+    # independent sets, {0, 3} and {1, 3}, and the search meets the larger
+    # mask first; a cut that also drops the nodes that can only tie with it
+    # would return {1, 3}
+    d = dg(4, [(0, 1), (1, 2), (2, 3)])
+    order = [q for q, _, _ in _maximal_independent_sets(d, [d.n])]
+    assert order.index(0b1010) < order.index(0b1001)
+    assert heavy_independent_set(d) == 0b1001
 
 
 def test_heavy_budget():

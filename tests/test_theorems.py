@@ -56,7 +56,7 @@ def independent_partition(d):
     """Partition into independent parts (independent sets are kernel-perfect)."""
     if d.n == 0:
         return Partition(())
-    _, parts = _min_partition_rgs(d.n, _independent_extends(_underlying_rows(d)), 1)
+    _, parts = _min_partition_rgs(d.n, _independent_extends(_underlying_rows(d)), 1, d.n + 1)
     return Partition(parts)
 
 
