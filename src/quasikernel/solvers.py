@@ -15,16 +15,18 @@ and it builds only independent sets of at most a given size.  A branch is cut
 when what it covers plus what the vertices below its top free vertex could
 reach misses a vertex.  Enumeration takes every yield; the minimum search
 tries one vertex, then caps k = 2, 3, ..., and its first yield is the least
-mask of the least size.  Given a vertex set S, the kernel search lists the
-kernels of D[S] in D's own labels by what must absorb each vertex: one
-outside K with no arc into K needs itself or an out-neighbour in K.  A kernel
-is the large optimum when D has one.  Otherwise large, and always sharp and
-heavy, search maximal independent sets Q: Bron--Kerbosch with Tomita
-pivoting lists each with N^-(Q) and N^+(Q), and keeps the set with the least
-key (size, or negated score), ties to the least mask: still the first
-optimum over all masks.  Heavy's key is the size, so its search drops every
-node whose set is already as large as the best in-heavy set found; the nodes
-that can still tie are kept.  Large and sharp witnesses are re-scored once.
+mask of the least size.  One search finds, given a vertex set S, the kernel
+K of D[S] in D's own labels with the least key of (K, N^-(K), N^+(K)), ties
+to the least mask, and keeps the best as it goes.  It branches by what must
+absorb each vertex: one outside K with no arc into K needs itself or an
+out-neighbour in K.  D's maximal independent sets are the kernels of its
+underlying graph, where the same search is Bron--Kerbosch with Tomita
+pivoting.  A kernel is the large optimum when D has one.  Otherwise large,
+and always sharp and heavy, search maximal independent sets Q keyed by
+negated score or, for heavy, by size: the least is still the first optimum
+over all masks.  Heavy's search drops every node whose set is already as
+large as the best in-heavy set found; the nodes that can still tie are kept.
+Large and sharp witnesses are re-scored once.
 The partition numbers try k = lower, lower + 1, ... and walk
 restricted-growth strings, adding the vertices in ascending order.  The two
 colouring numbers start at the size of a greedy clique, re-checked pairwise
@@ -104,114 +106,55 @@ class SolveResult:
     verified: bool
 
 
-def _maximal_independent_sets(d: Digraph, cap: list[int]):
-    """Yield (Q, N^-(Q), N^+(Q)) for the maximal independent sets Q of the
-    underlying undirected graph of D with at most ``cap[0]`` vertices, in no
-    particular order, each exactly once: for large without a kernel, sharp
-    and heavy.
-
-    Bron--Kerbosch on the complement with Tomita--Tanaka--Takahashi pivoting
-    (TCS 2006).  There are at most 3^{n/3} such sets (Moon--Moser 1965),
-    reached by disjoint triangles.  Each branch ORs the new vertex's rows
-    into the neighbourhoods; no row meets the independent Q.
-
-    ``cap`` is a one-item list that the caller may lower between yields.  A
-    node whose R already has ``cap[0]`` vertices is dropped, since every set
-    below it has more: every set of at most the final ``cap[0]`` vertices is
-    yielded, and none larger than ``cap[0]`` at its yield.
-    """
-    n = d.n
-    if n > MIS_BUDGET:
-        raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
-    if not n:
-        yield 0, 0, 0  # the empty set; the search below reports only nonempty sets
-        return
-    rows = d.rows
-    in_rows = d.in_rows
-    closed = [rows[v] | in_rows[v] | 1 << v for v in range(n)]
-    # (r, p, x, ins, outs): r is independent with in- and out-neighbourhoods
-    # ins and outs; p and x hold the vertices with no arc to or from r,
-    # those still to branch on and those already branched on
-    stack = [(0, d.vertex_mask, 0, 0, 0)]
-    while stack:
-        r, p, x, ins, outs = stack.pop()
-        if r.bit_count() >= cap[0]:
-            continue
-        # every set still to report takes a vertex of p & closed[u] for each
-        # u in p | x (else u could join it), so branch on the smallest one
-        branch = p
-        least = n + 1
-        probe = p | x
-        while probe:
-            low = probe & -probe
-            cand = p & closed[low.bit_length() - 1]
-            size = cand.bit_count()
-            if size < least:
-                branch, least = cand, size
-                if size <= 1:
-                    break
-            probe ^= low
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            cv = closed[v]
-            p_next = p & ~cv
-            x_next = x & ~cv
-            if p_next:
-                stack.append((r | low, p_next, x_next, ins | in_rows[v], outs | rows[v]))
-            elif not x_next:
-                yield r | low, ins | in_rows[v], outs | rows[v]
-            p ^= low
-            x |= low
-            branch ^= low
-
-
-def _least_maximal_independent_set(d: Digraph, key, sized: bool = False):
-    """(key, mask) of the maximal independent set Q of D with the least
-    ``key(Q, N^-(Q), N^+(Q))``, ties to the least mask; sets whose key is
-    None are skipped, and None is returned if all are.
-
-    ``sized`` says that a key, where not None, is |Q|.  Then the search is
-    capped at the best key found, so it drops only sets larger than it,
-    which cannot win; the sets that tie with it are still compared."""
-    cap = [d.n]
-    best = None
-    for mask, ins, outs in _maximal_independent_sets(d, cap):
-        k = key(mask, ins, outs)
-        if k is not None and (best is None or (k, mask) < best):
-            best = k, mask
-            if sized:
-                cap[0] = k
-    return best
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
 
-def _kernels(d: Digraph, s: int):
-    """Yield every kernel of D[S] in D's own labels, each exactly once.
+def _least_kernel(d: Digraph, s: int, undirected: bool, key, sized: bool):
+    """(key, mask) of the kernel K of D[S] with the least ``key(K, N^-(K),
+    N^+(K))``, neighbourhoods taken in D, ties to the least mask; kernels
+    whose key is None are skipped, and None is returned if all are.  With
+    ``undirected`` the kernels are those of D's underlying undirected graph
+    on S = V, that is D's maximal independent sets: for large without a
+    kernel, sharp and heavy.
 
-    A node is (K, p, loose): K is independent, p holds the vertices of S
-    that may still join K, and loose those of S outside K with no arc into
-    it.  A loose u must join K or send an arc into it, so every kernel below
-    the node holds a vertex of ``p & (rows[u] | u)``.  The search branches
-    on the smallest such set, cuts the node when it is empty, and takes each
-    branched vertex out of p for its later siblings, as Bron--Kerbosch does.
+    A node is (K, p, loose, N^-(K), N^+(K)): K is independent, p holds the
+    vertices of S that may still join K, and loose those of S outside K
+    that nothing in K absorbs (no arc into K; with ``undirected``, no arc to
+    or from it).  A loose u must join K or be absorbed, so every kernel
+    below the node holds a vertex of ``p & (absorb[u] | u)``.  The search
+    branches on the smallest such set, drops a child with something loose
+    and nothing left to add, and takes each branched vertex out of p for
+    its later siblings.  On the underlying graph this is Bron--Kerbosch with
+    Tomita--Tanaka--Takahashi pivoting (TCS 2006): loose is its P | X.
+    There are at most 3^{n/3} maximal independent sets (Moon--Moser 1965),
+    reached by disjoint triangles.  Each child ORs the new vertex's rows
+    into the neighbourhoods; no row meets the independent K.
+
+    ``sized`` says that a key, where not None, is |K|.  Then a node whose K
+    is already as large as the best key is dropped: every kernel below it
+    is larger, while the kernels that tie with the best are still met.
     """
     if s.bit_count() > MIS_BUDGET:
         raise BudgetExceededError(f"maximal independent set enumeration budget is n <= {MIS_BUDGET}")
+    if not s:  # the empty set; the search below scores only nonempty sets
+        score = key(0, 0, 0)
+        return None if score is None else (score, 0)
     rows, in_rows = d.rows, d.in_rows
-    stack = [(0, s, s)]
+    # a loose u is absorbed by a vertex of absorb[u] in K, and v joining K
+    # absorbs the vertices of freed[v]
+    absorb, freed = (_underlying_rows(d),) * 2 if undirected else (rows, in_rows)
+    best = None
+    cap = n = len(rows)  # no node on the stack holds n vertices
+    stack = [(0, s, s, 0, 0)]
     while stack:
-        k, p, loose = stack.pop()
-        if not loose:
-            yield k
+        k, p, loose, ins, outs = stack.pop()
+        if k.bit_count() >= cap:
             continue
-        branch, least, probe = p, len(rows) + 1, loose
+        branch, least, probe = p, n + 1, loose
         while probe:
             low = probe & -probe
-            cand = p & (rows[low.bit_length() - 1] | low)
+            cand = p & (absorb[low.bit_length() - 1] | low)
             size = cand.bit_count()
             if size < least:
                 branch, least = cand, size
@@ -221,9 +164,19 @@ def _kernels(d: Digraph, s: int):
         while branch:
             low = branch & -branch
             v = low.bit_length() - 1
-            stack.append((k | low, p & ~(rows[v] | in_rows[v] | low), loose & ~(in_rows[v] | low)))
+            grow = p & ~(rows[v] | in_rows[v] | low)
+            rest = loose & ~(freed[v] | low)
+            if grow:
+                stack.append((k | low, grow, rest, ins | in_rows[v], outs | rows[v]))
+            elif not rest:
+                score = key(k | low, ins | in_rows[v], outs | rows[v])
+                if score is not None and (best is None or (score, k | low) < best):
+                    best = score, k | low
+                    if sized:
+                        cap = score
             p ^= low
             branch ^= low
+    return best
 
 
 def _is_kernel_of(d: Digraph, k: int, s: int) -> bool:
@@ -239,9 +192,9 @@ def find_kernel(d: Digraph) -> SolveResult:
 
 
 def _first_kernel(d: Digraph, size, s: int) -> SolveResult:
-    """The kernel of D[S] least by (``size(mask)``, mask) over ``_kernels``,
-    re-checked; the objective is that size."""
-    best = min(((size(mask), mask) for mask in _kernels(d, s)), default=None)
+    """The kernel of D[S] least by (``size(mask)``, mask), re-checked; the
+    objective is that size."""
+    best = _least_kernel(d, s, False, lambda mask, ins, outs: size(mask), False)
     if best is None:
         return SolveResult(None, 0, True)
     objective, mask = best
@@ -384,7 +337,7 @@ def _max_quasi_kernel(d: Digraph, weight: int, score) -> SolveResult:
             return None
         return -(mask.bit_count() + weight * ins.bit_count())
 
-    best = _least_maximal_independent_set(d, negated_objective)
+    best = _least_kernel(d, full, True, negated_objective, False)
     if best is None:
         raise AssertionError("no quasi-kernel found; digraphs always have one")
     neg_obj, mask = best
@@ -400,13 +353,15 @@ def max_large_quasi_kernel(d: Digraph) -> SolveResult:
     order.  No Q scores above n, and an independent Q scores n iff every
     vertex outside it has an arc into it, that is iff Q is a kernel; every
     kernel is a quasi-kernel.  So if D has a kernel, its least kernel mask
-    is the witness; else ``_max_quasi_kernel`` searches."""
-    kernel = min(_kernels(d, d.vertex_mask), default=None)
-    if kernel is None:
+    is the witness, found with every kernel sized n; else
+    ``_max_quasi_kernel`` searches."""
+    n = d.n
+    res = _first_kernel(d, lambda mask: n, d.vertex_mask)
+    if res.witness is None:
         return _max_quasi_kernel(d, 1, large_score)
-    if not is_quasi_kernel(d, kernel) or large_score(d, kernel) != d.n:
+    if not is_quasi_kernel(d, res.witness) or large_score(d, res.witness) != n:
         raise PostconditionViolationError("kernel search returned a bad large quasi-kernel")
-    return SolveResult(kernel, d.n, True)
+    return res
 
 
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:
@@ -849,9 +804,9 @@ def heavy_independent_set(d: Digraph) -> int:
     4->0, 4->1, 4->2, 5->2 has the maximal independent sets {0, 1}, {1, 2}
     and {3, 4, 5}, and none of them is in-heavy.
     """
-    best = _least_maximal_independent_set(
-        d, lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None,
-        sized=True)
+    best = _least_kernel(
+        d, d.vertex_mask, True,
+        lambda mask, ins, outs: mask.bit_count() if ins.bit_count() >= outs.bit_count() else None, True)
     if best is None:
         raise PostconditionViolationError(
             "no in-heavy maximal independent set exists here; potential counterexample")

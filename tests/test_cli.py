@@ -210,6 +210,19 @@ SOLVE_GOLDEN = [
      'witness: {0}\nsize: 1\nobjective: 9\nverified: true\n'),
     ("sharp", "random_tournament:6:3", "json", 0,
      '{"witness":[0],"size":1,"objective":9,"verified":true}\n'),
+    # the maximal-independent-set search at n = 15 and 16
+    ("sharp", "random_tournament:16:1", "text", 0,
+     'witness: {5}\nsize: 1\nobjective: 23\nverified: true\n'),
+    ("sharp", "random_tournament:16:1", "json", 0,
+     '{"witness":[5],"size":1,"objective":23,"verified":true}\n'),
+    ("sharp", "cycle:15", "text", 0,
+     'witness: {0, 2, 4, 6, 8, 10, 12}\nsize: 7\nobjective: 21\nverified: true\n'),
+    ("sharp", "cycle:15", "json", 0,
+     '{"witness":[0,2,4,6,8,10,12],"size":7,"objective":21,"verified":true}\n'),
+    ("sharp", "random:16:1/4:3", "text", 0,
+     'witness: {4, 5, 8, 11}\nsize: 4\nobjective: 28\nverified: true\n'),
+    ("sharp", "random:16:1/4:3", "json", 0,
+     '{"witness":[4,5,8,11],"size":4,"objective":28,"verified":true}\n'),
     ("kernel", "cycle:4", "text", 0,
      'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
     ("kernel", "cycle:4", "json", 0,
@@ -251,6 +264,19 @@ SOLVE_GOLDEN = [
      'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
     ("heavy", "random_tournament:6:3", "json", 0,
      '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
+    # heavy's size cut at n = 15 and 16
+    ("heavy", "random_tournament:16:1", "text", 0,
+     'witness: {1}\nsize: 1\nobjective: 10\nverified: true\n'),
+    ("heavy", "random_tournament:16:1", "json", 0,
+     '{"witness":[1],"size":1,"objective":10,"verified":true}\n'),
+    ("heavy", "cycle:15", "text", 0,
+     'witness: {0, 3, 6, 9, 12}\nsize: 5\nobjective: 10\nverified: true\n'),
+    ("heavy", "cycle:15", "json", 0,
+     '{"witness":[0,3,6,9,12],"size":5,"objective":10,"verified":true}\n'),
+    ("heavy", "random:16:1/4:3", "text", 0,
+     'witness: {2, 8, 9}\nsize: 3\nobjective: 12\nverified: true\n'),
+    ("heavy", "random:16:1/4:3", "json", 0,
+     '{"witness":[2,8,9],"size":3,"objective":12,"verified":true}\n'),
     ("partition-small", "cycle:4", "text", 0,
      'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\ntrace: {"kernel":[0,2],"core":[0,2],"refined_parts":[[],[0,1,2,3],[]],"remainder":[],"branch":"part:2","result":[0,2]}\n'),
     ("partition-small", "cycle:4", "json", 0,

@@ -49,8 +49,7 @@ from quasikernel.solvers import (
     _kernel_perfect_bound,
     _kernel_perfect_extends,
     _kernel_perfect_through,
-    _kernels,
-    _maximal_independent_sets,
+    _least_kernel,
     _maximalize_within,
     _one_way_rows,
     _partition_number,
@@ -216,8 +215,16 @@ def _digraphs_of_order(lo, hi):
                             st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
 
 
+def _scored_sets(d, s, undirected):
+    """Every (K, N^-(K), N^+(K)) that the search scores, in order; its key
+    skips them all, so it finds none."""
+    got = []
+    assert _least_kernel(d, s, undirected, lambda *node: got.append(node), False) is None
+    return got
+
+
 def _mis_matches_oracle(d):
-    got = list(_maximal_independent_sets(d, [d.n]))
+    got = _scored_sets(d, d.vertex_mask, True)
     masks = [q for q, _, _ in got]
     assert len(masks) == len(set(masks))
     maximal = set(oracles.oracle_maximal_independent_sets(d))
@@ -226,11 +233,19 @@ def _mis_matches_oracle(d):
         s = set(vertices_of(q))
         assert set(vertices_of(ins)) == oracles.oracle_n_minus(d, s)
         assert set(vertices_of(outs)) == oracles.oracle_n_plus(d, s)
-    # a cap held below n yields the sets of at most that many vertices
+    # heavy's cut drops only sets larger than the best one found: the sets
+    # holding vertex c are keyed by size and the rest skipped
     for c in range(d.n):
-        capped = [q for q, _, _ in _maximal_independent_sets(d, [c])]
-        assert len(capped) == len(set(capped))
-        assert {frozenset(vertices_of(m)) for m in capped} == {s for s in maximal if len(s) <= c}, c
+        scored = []
+
+        def key(q, ins, outs):
+            scored.append(q)
+            return q.bit_count() if q >> c & 1 else None
+
+        best = _least_kernel(d, d.vertex_mask, True, key, True)
+        assert len(scored) == len(set(scored))
+        assert best == min((len(s), set_to_mask(s)) for s in maximal if c in s), c
+        assert all(len(s) > best[0] for s in maximal if set_to_mask(s) not in scored), c
 
 
 def test_maximal_independent_sets_match_oracle_exhaustively():
@@ -265,9 +280,12 @@ def _subset_search_matches_induced_copy(d, s):
         want = solvers._first_kernel(sub, lambda mask: size(_row_union(back, mask)), sub.vertex_mask)
         assert got.witness == (None if want.witness is None else _row_union(back, want.witness))
         assert (got.objective, got.verified) == (want.objective, want.verified)
-    got = list(_kernels(d, s))
-    assert len(got) == len(set(got))
-    assert set(got) == {_row_union(back, k) for k in _oracle_kernel_masks(sub.rows)}
+    got = _scored_sets(d, s, False)
+    masks = [k for k, _, _ in got]
+    assert len(masks) == len(set(masks))
+    assert set(masks) == {_row_union(back, k) for k in _oracle_kernel_masks(sub.rows)}
+    for k, ins, outs in got:
+        assert (ins, outs) == (n_minus_set(d, k), n_plus_set(d, k))
 
 
 def test_subset_search_matches_induced_copy_exhaustively():
@@ -325,19 +343,23 @@ def test_kernel_search_witnesses_are_rechecked(monkeypatch, family, fake):
     # {0} of the 4-cycle is no quasi-kernel, {0} of the triangle is one that
     # scores 2 < 3, and {0, 1} is not independent
     d = make(parse_family(family))
-    monkeypatch.setattr(solvers, "_kernels", lambda d, s: iter([fake]))
+    monkeypatch.setattr(solvers, "_least_kernel", lambda d, s, undirected, key, sized: (key(fake, 0, 0), fake))
     for search in (find_kernel, max_large_quasi_kernel,
                    lambda d: theorems._cover(d, 0b1, int.bit_count, d.vertex_mask)):
-        with pytest.raises(PostconditionViolationError, match="kernel search returned"):
+        with pytest.raises(PostconditionViolationError, match="kernel search returned a non-kernel"):
             search(d)
+    # past the kernel re-check, large re-checks a quasi-kernel scoring n
+    monkeypatch.setattr(solvers, "_is_kernel_of", lambda d, k, s: True)
+    with pytest.raises(PostconditionViolationError, match="kernel search returned a bad large quasi-kernel"):
+        max_large_quasi_kernel(d)
 
 
 def test_kernel_search_budget_counts_s():
     message = "^maximal independent set enumeration budget is n <= 32$"
     wide = Digraph((0,) * 40)
-    assert list(_kernels(wide, (1 << 32) - 1 << 8)) == [(1 << 32) - 1 << 8]
+    assert _scored_sets(wide, (1 << 32) - 1 << 8, False) == [((1 << 32) - 1 << 8, 0, 0)]
     with pytest.raises(BudgetExceededError, match=message):
-        next(_kernels(wide, (1 << 33) - 1))
+        _scored_sets(wide, (1 << 33) - 1, False)
     for search in (find_kernel, max_large_quasi_kernel):
         with pytest.raises(BudgetExceededError, match=message):
             search(Digraph((0,) * 33))
@@ -345,8 +367,8 @@ def test_kernel_search_budget_counts_s():
 
 def test_max_quasi_kernels_on_the_empty_digraph():
     d = Digraph(())
-    assert list(_maximal_independent_sets(d, [0])) == [(0, 0, 0)]
-    assert list(_kernels(d, 0)) == [0]
+    for undirected in (False, True):
+        assert _scored_sets(d, 0, undirected) == [(0, 0, 0)]
     for solver, _ in MAX_QK:
         assert solver(d) == SolveResult(0, 0, True)
 
@@ -992,33 +1014,38 @@ def test_heavy_set_absent_at_n6():
 
 
 def test_mis_neighbourhoods_are_rechecked(monkeypatch):
-    # each fake passes the caller's cap on, so heavy's faults go through the
-    # search it cuts
-    real = solvers._maximal_independent_sets
-    caps = []
+    # each liar runs the real search with the caller's key on false
+    # neighbourhoods, so heavy's faults go through the search it cuts
+    real = solvers._least_kernel
+    found = []
 
-    def spy(d, cap):
-        caps.append(cap)
-        return real(d, cap)
+    def liar(claim):
+        def search(d, s, undirected, key, sized):
+            found.append(real(d, s, undirected, lambda q, ins, outs: key(q, *claim(d, q, ins, outs)), sized))
+            return found[-1]
+        return search
 
     # every set claims to be in-heavy: none of these three is
     heavy_free = dg(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
                         (2, 0), (3, 2), (4, 0), (4, 1), (4, 2), (5, 2)])
-    monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d, cap: ((q, d.vertex_mask, 0) for q, _, _ in spy(d, cap)))
+    monkeypatch.setattr(solvers, "_least_kernel", liar(lambda d, q, ins, outs: (d.vertex_mask, 0)))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
-    assert caps == [[2]]  # the false claim of {0, 1} or {1, 2} cut the search at two vertices
-    # a set that is not maximal, met before the real ones
-    monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d, cap: itertools.chain([(0, d.vertex_mask, 0)], spy(d, cap)))
+    assert found == [(2, 0b011)]  # the false claim of {0, 1}, the least of the two-vertex sets
+    # a set that is not maximal
+    monkeypatch.setattr(solvers, "_least_kernel",
+                        lambda d, s, undirected, key, sized: (key(0, d.vertex_mask, 0), 0))
     with pytest.raises(PostconditionViolationError, match="returned no in-heavy maximal independent set"):
         heavy_independent_set(heavy_free)
-    assert caps[-1] == [0]
+    # {0} of the 4-cycle, which is no quasi-kernel, found where no kernel is
+    monkeypatch.setattr(solvers, "_least_kernel",
+                        lambda d, s, undirected, key, sized: (-1, 0b0001) if undirected else None)
+    for solver, _ in MAX_QK:
+        with pytest.raises(PostconditionViolationError, match="returned a bad witness"):
+            solver(make(parse_family("cycle:4")))
     # on the directed triangle each single vertex is a quasi-kernel with one
     # in-neighbour; claiming two inflates the objective
-    monkeypatch.setattr(solvers, "_maximal_independent_sets",
-                        lambda d, cap: ((q, d.vertex_mask & ~q, outs) for q, _, outs in spy(d, cap)))
+    monkeypatch.setattr(solvers, "_least_kernel", liar(lambda d, q, ins, outs: (d.vertex_mask & ~q, outs)))
     triangle = dg(3, [(0, 1), (1, 2), (2, 0)])
     for solver, _ in MAX_QK:
         with pytest.raises(PostconditionViolationError, match="objective"):
@@ -1031,7 +1058,7 @@ def test_heavy_cut_keeps_ties_to_the_least_mask():
     # mask first; a cut that also drops the nodes that can only tie with it
     # would return {1, 3}
     d = dg(4, [(0, 1), (1, 2), (2, 3)])
-    order = [q for q, _, _ in _maximal_independent_sets(d, [d.n])]
+    order = [q for q, _, _ in _scored_sets(d, d.vertex_mask, True)]
     assert order.index(0b1010) < order.index(0b1001)
     assert heavy_independent_set(d) == 0b1001
 
