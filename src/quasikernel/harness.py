@@ -19,6 +19,7 @@ digraph, and the sweep enforces that as a bug trap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -141,8 +142,13 @@ def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
     else:  # objective >= alpha * scale
         limit = num * scaled
         passed = den * res.objective >= limit
-    return CheckRecord(d.n, format(adjacency_code(d), "x"), res.objective, Fraction(limit, den),
+    return CheckRecord(d.n, format(adjacency_code(d), "x"), res.objective, _bound(limit, den),
                        passed, res.witness)
+
+
+# Checks at one alpha that share n and the count alpha multiplies share their
+# bound, so records take one immutable Fraction per (limit, den) pair.
+_bound = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 def slack(record: CheckRecord, spec: ConjectureSpec) -> Fraction | None:

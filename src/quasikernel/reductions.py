@@ -207,12 +207,13 @@ def qk_via_ii_oracle(d: Digraph, alpha: Fraction,
     """
     if not is_sink_free(d):
         raise ValueError("this transfer needs a sink-free digraph")
-    alpha = Fraction(alpha)
-    if not 0 < alpha <= 1:
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    if not 0 < num <= den:  # 0 < alpha <= 1, as den > 0
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     if oracle is None:  # the exact minimum quasi-kernel
         oracle = min_quasi_kernel
-    num, den = alpha.numerator, alpha.denominator
 
     q = min_quasi_kernel(d).witness
     split = matching_split(d, q)

@@ -353,15 +353,17 @@ def max_large_quasi_kernel(d: Digraph) -> SolveResult:
     order.  No Q scores above n, and an independent Q scores n iff every
     vertex outside it has an arc into it, that is iff Q is a kernel; every
     kernel is a quasi-kernel.  So if D has a kernel, its least kernel mask
-    is the witness, found with every kernel sized n; else
-    ``_max_quasi_kernel`` searches."""
+    is the witness, found with every kernel keyed n; else
+    ``_max_quasi_kernel`` searches.  The two re-checks of the kernel, a
+    quasi-kernel (so independent) that scores n, certify it a kernel."""
     n = d.n
-    res = _first_kernel(d, lambda mask: n, d.vertex_mask)
-    if res.witness is None:
+    best = _least_kernel(d, d.vertex_mask, False, lambda mask, ins, outs: n, False)
+    if best is None:
         return _max_quasi_kernel(d, 1, large_score)
-    if not is_quasi_kernel(d, res.witness) or large_score(d, res.witness) != n:
+    mask = best[1]
+    if not is_quasi_kernel(d, mask) or large_score(d, mask) != n:
         raise PostconditionViolationError("kernel search returned a bad large quasi-kernel")
-    return res
+    return SolveResult(mask, n, True)
 
 
 def max_sharp_quasi_kernel(d: Digraph) -> SolveResult:

@@ -156,6 +156,18 @@ def test_unchecked_construction_stays_in_the_stream():
     assert readers == {"src/quasikernel/digraph.py": ["enumerate_digraphs"]}
 
 
+def test_no_module_uses_cached_property():
+    # on Python 3.10 and 3.11 cached_property locks each first read; the
+    # digraph's lazy attributes use digraph._lazy, which does not
+    used = []
+    for path in sorted(ROOT.glob("src/quasikernel/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+            used += [f"{path.name}: {name}" for name in names if name.endswith("cached_property")]
+    assert used == []
+
+
 def test_induced_copies_stay_where_a_table_or_a_contract_needs_them():
     # the solvers and constructions work on D[S] in D's own labels, and rule
     # 3's table is indexed by rank inside S; only the oracle contract, which

@@ -23,6 +23,7 @@ from quasikernel import (
     vertices_of,
 )
 from quasikernel.digraph import (
+    _lazy,
     _parity_reach,
     _ranks,
     _row_union,
@@ -343,6 +344,20 @@ def test_code_rejects_out_of_range():
         digraph_from_code(2, 4)
 
 
+def _arc_code(d):
+    # the packing by its definition: arc u -> v is bit u*(n-1) + v, with v
+    # lowered by one above the skipped diagonal
+    w = d.n - 1
+    return sum(1 << (u * w + (v if v < u else v - 1)) for u, v in d.arcs())
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_adjacency_code_is_the_arc_packing(n):
+    for code, d in enumerate(all_digraphs(n)):
+        assert adjacency_code(d) == _arc_code(d) == code
+        assert digraph_from_code(n, code) == d
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_enumeration_is_in_code_order_and_complete(n):
     every = [digraph_from_code(n, c) for c in range(1 << (n * (n - 1)))]
@@ -360,12 +375,39 @@ def test_enumeration_is_in_code_order_and_complete(n):
 
 def _same_as_validated(d, validated):
     assert type(d) is Digraph
-    assert vars(d) == vars(validated)  # before any cached property fills in
+    assert vars(d) == vars(validated)  # before any lazy attribute fills in
     assert d == validated
     assert (hash(d), repr(d)) == (hash(validated), repr(validated))
     assert (d.in_rows, d.vertex_mask) == (validated.in_rows, validated.vertex_mask)
     for twin in (pickle.loads(pickle.dumps(d)), copy.copy(d)):
         assert type(twin) is Digraph and twin == d and twin.in_rows == d.in_rows
+
+
+def test_lazy_attributes_are_descriptors_with_their_docstrings():
+    for name, doc in (("in_rows", "Bit rows of the reversed digraph"), ("vertex_mask", "Mask of all n")):
+        lazy = vars(Digraph)[name]
+        assert type(lazy) is _lazy and getattr(Digraph, name) is lazy
+        assert lazy.__doc__.startswith(doc) and lazy.name == name
+
+
+def test_lazy_attributes_compute_once_into_the_instance_dict(monkeypatch):
+    calls = []
+    for name in ("in_rows", "vertex_mask"):
+        lazy = vars(Digraph)[name]
+        monkeypatch.setattr(lazy, "func", lambda d, func=lazy.func, name=name: calls.append(name) or func(d))
+    for d in (Digraph((0b110, 0b001, 0b010)), next(enumerate_digraphs(3, sink_free=True))):
+        calls.clear()
+        before = (hash(d), repr(d), Digraph(d.rows) == d)
+        assert vars(d) == {"rows": d.rows}
+        first = (d.in_rows, d.vertex_mask)
+        assert vars(d) == {"rows": d.rows, "in_rows": first[0], "vertex_mask": first[1]}
+        assert (d.in_rows, d.vertex_mask) == first and calls == ["in_rows", "vertex_mask"]
+        assert first == (Digraph(d.rows).in_rows, 0b111)
+        assert (hash(d), repr(d), Digraph(d.rows) == d) == before
+        for name in ("rows", "in_rows", "vertex_mask"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(d, name, ())
+        assert vars(d)["in_rows"] == first[0]
 
 
 @pytest.mark.parametrize("n", range(5))

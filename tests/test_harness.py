@@ -76,6 +76,24 @@ def test_check_sources_discount():
     assert rec.passed
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 1)])
+def test_check_bounds_are_reduced_fractions(alpha):
+    # small: (1 - alpha) n; sources: n - alpha s; large: alpha n; sharp: 2 alpha n
+    for variant in ("small", "sources", "large", "sharp"):
+        spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
+        shared = {}
+        for n in range(4):
+            for d in all_digraphs(n, sink_free=variant == "small"):
+                s = sum(1 for v in range(n) if d.in_rows[v] == 0 and d.rows[v] != 0)
+                want = {"small": n - alpha * n, "sources": n - alpha * s,
+                        "large": alpha * n, "sharp": 2 * alpha * n}[variant]
+                bound = check(d, spec).bound
+                assert type(bound) is Fraction and bound == want
+                assert (bound.numerator, bound.denominator) == (want.numerator, want.denominator)
+                # records with one bound share one Fraction
+                assert shared.setdefault(want, bound) is bound
+
+
 def test_check_rejects_sinky_input_for_sink_free_spec():
     d = dg(2, [(0, 1)])
     with pytest.raises(ValueError):

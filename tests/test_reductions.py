@@ -239,6 +239,24 @@ def test_via_ii_oracle_validates_alpha(c5, alpha):
         qk_via_ii_oracle(c5, alpha)
 
 
+@pytest.mark.parametrize("alpha,message", [
+    (0, "alpha must be in (0, 1], got 0"),
+    (Fraction(3, 2), "alpha must be in (0, 1], got 3/2"),
+    (-1, "alpha must be in (0, 1], got -1"),
+])
+def test_via_ii_oracle_alpha_messages(c5, alpha, message):
+    with pytest.raises(ValueError) as excinfo:
+        qk_via_ii_oracle(c5, alpha)
+    assert str(excinfo.value) == message
+
+
+def test_via_ii_oracle_takes_alpha_in_any_exact_form(c5):
+    # an int or a string converts to the Fraction it names
+    assert qk_via_ii_oracle(c5, 1) == qk_via_ii_oracle(c5, Fraction(1)) == SolveResult(0b101, 2, True)
+    for d in all_digraphs(3, sink_free=True):
+        assert qk_via_ii_oracle(d, "1/2") == qk_via_ii_oracle(d, Fraction(1, 2))
+
+
 def test_via_ii_oracle_needs_sink_free():
     with pytest.raises(ValueError):
         qk_via_ii_oracle(dg(2, [(0, 1)]), Fraction(1, 2))
