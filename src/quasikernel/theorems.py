@@ -135,7 +135,8 @@ class SmallQkTrace:
     refined_parts -- the reshuffled partition (leftover kernel vertices,
                      in-neighbourhood slab plus core, then the shrunk parts);
     remainder     -- everything outside the slab part; if it is empty, branch is
-                     "part:2" at once, covering nothing, and the result is the core;
+                     "otherwise" with no leftover kernel vertex stepping into it, so
+                     the result is the core;
     branch        -- "part:i" when part i was covered inside the remainder,
                      "otherwise" for the core-plus-steppers shape;
     result        -- the verified quasi-kernel.
@@ -205,7 +206,8 @@ def small_qk_from_partition(d: Digraph, partition: Partition, check_parts: bool 
     branch = "otherwise"
     result = None
     w_size = remainder.bit_count()
-    for i in range(2, k + 1):
+    # an empty remainder has no part to cover: the core alone is the result
+    for i in range(2, k + 1) if remainder else ():
         part_i = refined[i]
         if k * (n_minus_set(d, part_i) & leftover).bit_count() >= w_size:
             q_w = _cover(d, part_i, int.bit_count, remainder)

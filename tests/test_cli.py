@@ -1,8 +1,10 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +40,45 @@ def c3_file(tmp_path, c3):
 
 
 # ---------------------------------------------------------------------------
-# solve
+# pinned runs: tests/qk_pins.json holds one case a line, {"family", "argv",
+# "code", "stdout", "stderr"}; the family's digraph (none when null) is qk's
+# stdin.  CI replays the same file through the installed qk script.
+
+PINS = [json.loads(line) for line in
+        (Path(__file__).parent / "qk_pins.json").read_text(encoding="utf-8").splitlines()]
+
+
+def _pin_id(case):
+    """``alg-family-format`` for solve, and ``command-values-family-format``
+    for the other commands; ``--set`` lists stay out of the id."""
+    argv = case["argv"]
+    words = [w for prev, w in zip(["", *argv], argv)
+             if not w.startswith("--") and prev not in ("--format", "--set")]
+    if words[0] == "solve":
+        del words[0]
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
+    return "-".join([*words, *filter(None, [case["family"]]), fmt])
+
+
+def run_pin(capsys, monkeypatch, case):
+    family = case["family"]
+    stdin = "" if family is None else serialize(make(parse_family(family)))
+    return run(capsys, case["argv"], stdin=stdin, monkeypatch=monkeypatch)
+
+
+def test_pin_ids_are_unique():
+    assert len({_pin_id(case) for case in PINS}) == len(PINS)
+
+
+def test_ci_replays_the_pin_table_and_pins_no_output_inline():
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert "tests/qk_pins.json" in workflow
+    assert not re.search(r"\)\s+-\s+<<", workflow), "a `diff <(qk ...) - <<EOF` pin belongs in tests/qk_pins.json"
+
+
+@pytest.mark.parametrize("case", PINS, ids=map(_pin_id, PINS))
+def test_solve_golden(capsys, monkeypatch, case):
+    assert run_pin(capsys, monkeypatch, case) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_solve_min_text(capsys, c4_file):
@@ -70,20 +110,6 @@ def test_solve_json_format(capsys, c4_file):
     assert obj == {"witness": [0, 2], "size": 2, "objective": 4, "verified": True}
 
 
-def test_solve_kernel_present_and_absent(capsys, c4_file, c3_file):
-    code, out, _ = run(capsys, ["solve", "--alg", "kernel", "--input", c4_file])
-    assert code == 0 and "witness: {0, 2}" in out
-
-    code, out, _ = run(capsys, ["solve", "--alg", "kernel", "--input", c3_file])
-    assert code == 0
-    assert out == "witness: none\n"
-
-    code, out, _ = run(capsys, ["solve", "--alg", "kernel", "--input", c3_file,
-                                "--format", "json"])
-    assert json.loads(out) == {"witness": None, "size": 0, "objective": 0,
-                               "verified": False}
-
-
 def test_solve_heavy(capsys, c4_file):
     code, out, _ = run(capsys, ["solve", "--alg", "heavy", "--input", c4_file,
                                 "--format", "json"])
@@ -92,49 +118,12 @@ def test_solve_heavy(capsys, c4_file):
     assert obj["verified"] is True and obj["size"] >= 1
 
 
-def test_solve_covering(capsys, c4_file, c3_file):
-    code, out, _ = run(capsys, ["solve", "--alg", "covering", "--set", "0,1",
-                                "--input", c4_file, "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["verified"] is True
-    # the full triangle is not kernel-perfect, so the seed is rejected
-    code, _, err = run(capsys, ["solve", "--alg", "covering", "--set", "0,1,2",
-                                "--input", c3_file])
-    assert code == 1 and err.startswith("qk: error:")
-
-
 def test_covering_rejects_a_huge_index_in_one_short_line(capsys, c4_file):
     code, out, err = run(capsys, ["solve", "--alg", "covering", "--set", "0,100000000",
                                   "--input", c4_file])
     assert (code, out) == (1, "")
     assert err == "qk: error: vertex set has bits outside 0..3: vertex 100000000\n"
     assert len(err.encode()) < 200
-
-
-def test_solve_partition_small_trace(capsys, c4_file):
-    code, out, _ = run(capsys, ["solve", "--alg", "partition-small",
-                                "--input", c4_file, "--trace"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("witness: {")
-    trace_line = [l for l in lines if l.startswith("trace: ")]
-    assert len(trace_line) == 1
-    trace = json.loads(trace_line[0][len("trace: "):])
-    assert trace["branch"].startswith(("part:", "otherwise"))
-    assert sorted(trace) == ["branch", "core", "kernel", "refined_parts",
-                             "remainder", "result"]
-
-    code, out, _ = run(capsys, ["solve", "--alg", "partition-small",
-                                "--input", c4_file, "--trace", "--format", "json"])
-    assert json.loads(out)["trace"]["result"] == [0, 2]
-
-
-def test_solve_partition_small_needs_sink_free(capsys, tmp_path):
-    path = tmp_path / "p.dg"
-    path.write_text(serialize(make(parse_family("path:3"))))
-    code, _, err = run(capsys, ["solve", "--alg", "partition-small",
-                                "--input", str(path)])
-    assert code == 1 and err.startswith("qk: error:")
 
 
 @pytest.mark.parametrize("alg", ["partition-large", "partition-sources"])
@@ -153,216 +142,7 @@ def test_solve_rejects_unknown_alg(capsys, c4_file):
 
 
 # ---------------------------------------------------------------------------
-# solve: exact stdout and exit code of every --alg
-
-GOLDEN_FLAGS = {"covering": ["--set", "0,1"], "partition-small": ["--trace"]}
-
-# (alg, family, format, exit code, stdout); random:7 has a sink, which
-# partition-small rejects, and the tournament has no kernel
-SOLVE_GOLDEN = [
-    ("min", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
-    ("min", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
-    ("min", "random:7:1/3:5", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
-    ("min", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
-    ("min", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\n'),
-    ("min", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":1,"verified":true}\n'),
-    ("large", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
-    ("large", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
-    ("large", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 7\nverified: true\n'),
-    ("large", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":7,"verified":true}\n'),
-    ("large", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
-    ("large", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
-    # no kernel on the first two, so large runs the maximal-independent-set
-    # search; the third has kernels, and large takes the least kernel mask
-    ("large", "random_tournament:16:1", "text", 0,
-     'witness: {5}\nsize: 1\nobjective: 12\nverified: true\n'),
-    ("large", "random_tournament:16:1", "json", 0,
-     '{"witness":[5],"size":1,"objective":12,"verified":true}\n'),
-    ("large", "cycle:15", "text", 0,
-     'witness: {0, 2, 4, 6, 8, 10, 12}\nsize: 7\nobjective: 14\nverified: true\n'),
-    ("large", "cycle:15", "json", 0,
-     '{"witness":[0,2,4,6,8,10,12],"size":7,"objective":14,"verified":true}\n'),
-    ("large", "random:16:1/4:3", "text", 0,
-     'witness: {1, 5, 6, 7, 10}\nsize: 5\nobjective: 16\nverified: true\n'),
-    ("large", "random:16:1/4:3", "json", 0,
-     '{"witness":[1,5,6,7,10],"size":5,"objective":16,"verified":true}\n'),
-    ("sharp", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 6\nverified: true\n'),
-    ("sharp", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":6,"verified":true}\n'),
-    ("sharp", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 11\nverified: true\n'),
-    ("sharp", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":11,"verified":true}\n'),
-    ("sharp", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 9\nverified: true\n'),
-    ("sharp", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":9,"verified":true}\n'),
-    # the maximal-independent-set search at n = 15 and 16
-    ("sharp", "random_tournament:16:1", "text", 0,
-     'witness: {5}\nsize: 1\nobjective: 23\nverified: true\n'),
-    ("sharp", "random_tournament:16:1", "json", 0,
-     '{"witness":[5],"size":1,"objective":23,"verified":true}\n'),
-    ("sharp", "cycle:15", "text", 0,
-     'witness: {0, 2, 4, 6, 8, 10, 12}\nsize: 7\nobjective: 21\nverified: true\n'),
-    ("sharp", "cycle:15", "json", 0,
-     '{"witness":[0,2,4,6,8,10,12],"size":7,"objective":21,"verified":true}\n'),
-    ("sharp", "random:16:1/4:3", "text", 0,
-     'witness: {4, 5, 8, 11}\nsize: 4\nobjective: 28\nverified: true\n'),
-    ("sharp", "random:16:1/4:3", "json", 0,
-     '{"witness":[4,5,8,11],"size":4,"objective":28,"verified":true}\n'),
-    ("kernel", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
-    ("kernel", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
-    ("kernel", "cycle:3", "text", 0,
-     'witness: none\n'),
-    ("kernel", "cycle:3", "json", 0,
-     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
-    ("kernel", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
-    ("kernel", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
-    ("kernel", "random_tournament:6:3", "text", 0,
-     'witness: none\n'),
-    ("kernel", "random_tournament:6:3", "json", 0,
-     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
-    ("kernel", "random_tournament:16:1", "text", 0,
-     'witness: none\n'),
-    ("kernel", "random_tournament:16:1", "json", 0,
-     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
-    ("kernel", "cycle:15", "text", 0,
-     'witness: none\n'),
-    ("kernel", "cycle:15", "json", 0,
-     '{"witness":null,"size":0,"objective":0,"verified":false}\n'),
-    # the least kernel by size; large above takes the least by mask
-    ("kernel", "random:16:1/4:3", "text", 0,
-     'witness: {4, 5, 8, 11}\nsize: 4\nobjective: 4\nverified: true\n'),
-    ("kernel", "random:16:1/4:3", "json", 0,
-     '{"witness":[4,5,8,11],"size":4,"objective":4,"verified":true}\n'),
-    ("heavy", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
-    ("heavy", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
-    ("heavy", "random:7:1/3:5", "text", 0,
-     'witness: {1, 3}\nsize: 2\nobjective: 6\nverified: true\n'),
-    ("heavy", "random:7:1/3:5", "json", 0,
-     '{"witness":[1,3],"size":2,"objective":6,"verified":true}\n'),
-    ("heavy", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
-    ("heavy", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
-    # heavy's size cut at n = 15 and 16
-    ("heavy", "random_tournament:16:1", "text", 0,
-     'witness: {1}\nsize: 1\nobjective: 10\nverified: true\n'),
-    ("heavy", "random_tournament:16:1", "json", 0,
-     '{"witness":[1],"size":1,"objective":10,"verified":true}\n'),
-    ("heavy", "cycle:15", "text", 0,
-     'witness: {0, 3, 6, 9, 12}\nsize: 5\nobjective: 10\nverified: true\n'),
-    ("heavy", "cycle:15", "json", 0,
-     '{"witness":[0,3,6,9,12],"size":5,"objective":10,"verified":true}\n'),
-    ("heavy", "random:16:1/4:3", "text", 0,
-     'witness: {2, 8, 9}\nsize: 3\nobjective: 12\nverified: true\n'),
-    ("heavy", "random:16:1/4:3", "json", 0,
-     '{"witness":[2,8,9],"size":3,"objective":12,"verified":true}\n'),
-    ("partition-small", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\ntrace: {"kernel":[0,2],"core":[0,2],"refined_parts":[[],[0,1,2,3],[]],"remainder":[],"branch":"part:2","result":[0,2]}\n'),
-    ("partition-small", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true,"trace":{"kernel":[0,2],"core":[0,2],"refined_parts":[[],[0,1,2,3],[]],"remainder":[],"branch":"part:2","result":[0,2]}}\n'),
-    ("partition-small", "random:7:1/3:5", "text", 1,
-     ''),
-    ("partition-small", "random:7:1/3:5", "json", 1,
-     ''),
-    ("partition-small", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\ntrace: {"kernel":[0],"core":[0],"refined_parts":[[],[0,1,2,3,4],[5]],"remainder":[5],"branch":"otherwise","result":[0]}\n'),
-    ("partition-small", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":1,"verified":true,"trace":{"kernel":[0],"core":[0],"refined_parts":[[],[0,1,2,3,4],[5]],"remainder":[5],"branch":"otherwise","result":[0]}}\n'),
-    ("partition-large", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 4\nverified: true\n'),
-    ("partition-large", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":4,"verified":true}\n'),
-    ("partition-large", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 7\nverified: true\n'),
-    ("partition-large", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":7,"verified":true}\n'),
-    ("partition-large", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 5\nverified: true\n'),
-    ("partition-large", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":5,"verified":true}\n'),
-    ("partition-sources", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
-    ("partition-sources", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
-    ("partition-sources", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
-    ("partition-sources", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
-    ("partition-sources", "random_tournament:6:3", "text", 0,
-     'witness: {0}\nsize: 1\nobjective: 1\nverified: true\n'),
-    ("partition-sources", "random_tournament:6:3", "json", 0,
-     '{"witness":[0],"size":1,"objective":1,"verified":true}\n'),
-    ("covering", "cycle:4", "text", 0,
-     'witness: {0, 2}\nsize: 2\nobjective: 2\nverified: true\n'),
-    ("covering", "cycle:4", "json", 0,
-     '{"witness":[0,2],"size":2,"objective":2,"verified":true}\n'),
-    ("covering", "random:7:1/3:5", "text", 0,
-     'witness: {0, 1, 2}\nsize: 3\nobjective: 3\nverified: true\n'),
-    ("covering", "random:7:1/3:5", "json", 0,
-     '{"witness":[0,1,2],"size":3,"objective":3,"verified":true}\n'),
-    ("covering", "random_tournament:6:3", "text", 0,
-     'witness: {5}\nsize: 1\nobjective: 1\nverified: true\n'),
-    ("covering", "random_tournament:6:3", "json", 0,
-     '{"witness":[5],"size":1,"objective":1,"verified":true}\n'),
-]
-
-
-@pytest.mark.parametrize("alg,family,fmt,code,stdout", SOLVE_GOLDEN,
-                         ids=[f"{a}-{f}-{m}" for a, f, m, _, _ in SOLVE_GOLDEN])
-def test_solve_golden(capsys, tmp_path, alg, family, fmt, code, stdout):
-    path = tmp_path / "d.dg"
-    path.write_text(serialize(make(parse_family(family))))
-    got_code, out, _ = run(capsys, ["solve", "--alg", alg, "--input", str(path),
-                                    "--format", fmt] + GOLDEN_FLAGS.get(alg, []))
-    assert (got_code, out) == (code, stdout)
-
-
-# ---------------------------------------------------------------------------
 # check
-
-
-def test_check_pass_text(capsys, c4_file):
-    code, out, _ = run(capsys, ["check", "--conjecture", "small",
-                                "--alpha", "1/2", "--input", c4_file])
-    assert code == 0
-    assert out == "result: PASS\nobjective: 2\nbound: 2/1\nwitness: {0, 2}\n"
-
-
-def test_check_fail_exits_two(capsys, c4_file):
-    code, out, _ = run(capsys, ["check", "--conjecture", "small",
-                                "--alpha", "1/1", "--input", c4_file])
-    assert code == 2
-    assert out.startswith("result: FAIL")
-
-
-def test_check_json(capsys, c4_file):
-    code, out, _ = run(capsys, ["check", "--conjecture", "sharp",
-                                "--alpha", "1/2", "--input", c4_file,
-                                "--format", "json"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["passed"] is True and obj["n"] == 4
 
 
 def test_check_sink_free_spec_rejects_sinky_input(capsys, tmp_path):
@@ -594,41 +374,6 @@ def test_gen_into_solve_pipeline(capsys, monkeypatch):
     assert json.loads(out)["objective"] == 5
 
 
-def test_kp_text_and_json(capsys, c3_file):
-    code, out, _ = run(capsys, ["kp", "--input", c3_file])
-    assert code == 0
-    assert out == "kp: 2\npartition: {0, 1} | {2}\n"
-    code, out, _ = run(capsys, ["kp", "--input", c3_file, "--format", "json"])
-    assert json.loads(out) == {"kp": 2, "partition": [[0, 1], [2]]}
-
-
-def test_reduce_c3blowup_text(capsys, c3_file):
-    code, out, _ = run(capsys, ["reduce", "--kind", "c3blowup",
-                                "--input", c3_file])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "# block 0: {0, 1, 2}"
-    blown = parse(out)  # comment lines are legal in the digraph format
-    assert blown.n == 9
-
-
-def test_reduce_gadget_json(capsys, c3_file):
-    code, out, _ = run(capsys, ["reduce", "--kind", "gadget:2",
-                                "--input", c3_file, "--format", "json"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["digraph"]["n"] == 9
-    assert obj["map"]["kind"] == "source-gadget"
-    assert obj["map"]["blocks"][0] == [0, 3, 4]
-
-
-def test_reduce_wblowup(capsys, c3_file):
-    code, out, _ = run(capsys, ["reduce", "--kind", "wblowup:2",
-                                "--input", c3_file, "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["digraph"]["n"] == 6
-
-
 @pytest.mark.parametrize("kind", ["gadget", "gadget:0", "gadget:x", "gadget:١",
                                   "wblowup:-3", "wblowup:+2", "c3blowup:5", "c3blowup:", "shrink:2"])
 def test_reduce_rejects_bad_kind(capsys, c3_file, kind):
@@ -654,14 +399,6 @@ def test_malformed_input(capsys, tmp_path):
         bad.write_text(text)
         code, out, err = run(capsys, ["kp", "--input", str(bad)])
         assert (code, out) == (1, "") and err.startswith("qk: error: invalid JSON: ")
-
-
-def test_solve_min_over_budget(capsys, tmp_path):
-    path = tmp_path / "edgeless33.dg"
-    path.write_text(serialize(make(parse_family("edgeless:33"))))
-    code, out, err = run(capsys, ["solve", "--alg", "min", "--input", str(path)])
-    assert (code, out) == (1, "")
-    assert err == "qk: error: minimum quasi-kernel search budget is n <= 32\n"
 
 
 # the sources theorem's blowups of these have 38 and 66 vertices
@@ -707,8 +444,9 @@ def test_parser_is_built_once_per_process(capsys, c4_file):
     assert cli._build_parser.cache_info().misses == 1
 
 
-SMALL_GOLDEN = [case for case in SOLVE_GOLDEN
-                if case[1] in ("cycle:4", "random:7:1/3:5", "random_tournament:6:3") and case[3] == 0]
+# the pinned cases on at most seven vertices
+SMALL_PINS = [case for case in PINS
+              if case["family"] is None or make(parse_family(case["family"])).n <= 7]
 
 
 @pytest.mark.parametrize("before", [
@@ -717,17 +455,12 @@ SMALL_GOLDEN = [case for case in SOLVE_GOLDEN
     ["--help"],
     ["solve", "--help"],
 ])
-def test_usage_errors_and_help_leave_the_parser_as_it_was(capsys, tmp_path, before):
-    paths = {}
-    for family in {case[1] for case in SMALL_GOLDEN}:
-        paths[family] = tmp_path / f"{len(paths)}.dg"
-        paths[family].write_text(serialize(make(parse_family(family))))
-    assert len(SMALL_GOLDEN) > 40
-    for alg, family, fmt, code, stdout in SMALL_GOLDEN:
+def test_usage_errors_and_help_leave_the_parser_as_it_was(capsys, monkeypatch, before):
+    assert len(SMALL_PINS) > 40
+    for case in SMALL_PINS:
         assert run(capsys, before)[0] in (0, 1)
-        got = run(capsys, ["solve", "--alg", alg, "--input", str(paths[family]),
-                           "--format", fmt] + GOLDEN_FLAGS.get(alg, []))
-        assert got == (code, stdout, ""), (alg, family, fmt)
+        got = run_pin(capsys, monkeypatch, case)
+        assert got == (case["code"], case["stdout"], case["stderr"]), _pin_id(case)
 
 
 def test_rebinding_a_solver_or_a_handler_after_the_first_call_takes_effect(capsys, monkeypatch, c4_file):

@@ -221,14 +221,17 @@ def test_small_trace_is_json_serializable(c4):
     assert isinstance(trace, SmallQkTrace)
 
 
-def test_small_exhaustive_n3_with_kp_partition():
+def test_small_exhaustive_n4_with_kp_partition():
     branches = set()
-    for d in sink_free_n3:
+    for d in (d for n in range(5) for d in enumerate_digraphs(n, sink_free=True)):
         k, part = kernel_perfect_number(d)
         k = max(k, 2)
         trace = small_qk_from_partition(d, part)
         assert is_quasi_kernel(d, trace.result)
         assert k * trace.result.bit_count() <= (k - 1) * d.n
+        # an empty remainder has no part to cover
+        if trace.remainder == 0:
+            assert (trace.branch, trace.result) == ("otherwise", trace.core)
         branches.add(trace.branch.split(":")[0])
     assert branches == {"part", "otherwise"}
 
@@ -390,7 +393,7 @@ def _pin_corpus(name):
 
 
 @pytest.mark.parametrize("corpus,output,digest", [
-    pytest.param("n<=4", _small_output, "a536c050f9ea0367f80ade747f42997483ef2de0bd91c1a8d853529d7d54fa9d",
+    pytest.param("n<=4", _small_output, "6a60ffe2f634a809a8e0f8c62f06c497c505f278b78aa1339a484d0170de513d",
                  id="n4-small"),
     pytest.param("n<=4", _large_output, "7fcab62d29f9236ed721bba74acc5d7e605d56a6537b513d1acd37388f94c095",
                  id="n4-large"),
@@ -398,7 +401,7 @@ def _pin_corpus(name):
                  id="n4-sources"),
     pytest.param("n<=4", _covering_output, "702f1d9e3eac488fee87aa52c425fa6b2e49e46c420b568d5389e5ca14308544",
                  id="n4-covering"),
-    pytest.param("random", _small_output, "eb0171e9b4c0b926992ede856d47a5efd3280cd746a826f5e1ea19abd39a8790",
+    pytest.param("random", _small_output, "c8511bfe1f324f9bad510dd2dd8a15efb9208f26268a3a297f64c1395a3f770c",
                  id="random-small"),
     pytest.param("random", _large_output, "9b6aadafe98ab59f59d7e5ebb32fefc755d7d2c82a338a175cd5aa7c04108764",
                  id="random-large"),
