@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from quasikernel import cli, kernel_perfect_number, mask_of, parse
-from quasikernel.digraph import digraph_to_json, serialize, sources_not_sinks
+from quasikernel.digraph import _clip, digraph_to_json, serialize, sources_not_sinks
 from quasikernel.generators import make, parse_family
 from quasikernel.solvers import SolveResult, is_quasi_kernel
 from quasikernel.cli import main
@@ -42,7 +42,9 @@ def c3_file(tmp_path, c3):
 # ---------------------------------------------------------------------------
 # pinned runs: tests/qk_pins.json holds one case a line, {"family", "argv",
 # "code", "stdout", "stderr"}; the family's digraph (none when null) is qk's
-# stdin.  CI replays the same file through the installed qk script.
+# stdin.  CI replays the same file through the installed qk script.  A case
+# refused at its arguments, before qk reads stdin, has a null family: in CI a
+# piped-in qk gen could find the pipe closed and add its own error to stderr.
 
 PINS = [json.loads(line) for line in
         (Path(__file__).parent / "qk_pins.json").read_text(encoding="utf-8").splitlines()]
@@ -50,9 +52,10 @@ PINS = [json.loads(line) for line in
 
 def _pin_id(case):
     """``alg-family-format`` for solve, and ``command-values-family-format``
-    for the other commands; ``--set`` lists stay out of the id."""
+    for the other commands; ``--set`` lists stay out of the id, and a long
+    token is clipped as an error message shows it."""
     argv = case["argv"]
-    words = [w for prev, w in zip(["", *argv], argv)
+    words = [_clip(w) for prev, w in zip(["", *argv], argv)
              if not w.startswith("--") and prev not in ("--format", "--set")]
     if words[0] == "solve":
         del words[0]
@@ -74,6 +77,8 @@ def test_ci_replays_the_pin_table_and_pins_no_output_inline():
     workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     assert "tests/qk_pins.json" in workflow
     assert not re.search(r"\)\s+-\s+<<", workflow), "a `diff <(qk ...) - <<EOF` pin belongs in tests/qk_pins.json"
+    assert not re.search(r"\bdiff\s+<\(\s*qk\b", workflow), "a `diff <(qk ...)` pin belongs in tests/qk_pins.json"
+    assert not re.search(r"\bgrep\s+-qx?\b", workflow), "a `grep -q` of qk output belongs in tests/qk_pins.json"
 
 
 @pytest.mark.parametrize("case", PINS, ids=map(_pin_id, PINS))
@@ -169,34 +174,6 @@ def test_check_rejects_decimal_alpha(capsys, c4_file):
 # sweep
 
 
-def test_sweep_small_n3(capsys):
-    code, out, _ = run(capsys, ["sweep", "--n", "3", "--conjecture", "small",
-                                "--alpha", "1/2"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["corpus"] == "labeled:n=3:sink_free"
-    assert obj["count"] == 27
-    assert obj["failures"] == []
-    assert obj["min_slack"] == "1/6"
-
-
-def test_sweep_failures_exit_two(capsys):
-    code, out, _ = run(capsys, ["sweep", "--n", "3", "--conjecture", "small",
-                                "--alpha", "1/1"])
-    assert code == 2
-    assert json.loads(out)["failures"]
-
-
-def test_sweep_csv(capsys):
-    code, out, _ = run(capsys, ["sweep", "--n", "2", "--conjecture", "large",
-                                "--alpha", "1/2", "--format", "csv"])
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == "adjacency_hex,n,objective,bound_num,bound_den,pass"
-    assert len(lines) == 5  # four labeled digraphs on two vertices
-    assert all(line.endswith(",1") for line in lines[1:])
-
-
 def test_sweep_shards_partition_the_corpus(capsys):
     total = 0
     for shard in range(3):
@@ -206,15 +183,6 @@ def test_sweep_shards_partition_the_corpus(capsys):
         assert code == 0
         total += json.loads(out)["count"]
     assert total == 27
-
-
-def test_sweep_canonical(capsys):
-    code, out, _ = run(capsys, ["sweep", "--n", "3", "--conjecture", "large",
-                                "--alpha", "1/3", "--canonical"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["corpus"] == "labeled:n=3:canonical"
-    assert obj["count"] == 16
 
 
 # sha256 of n = 4 sweep reports: a change to how fast a sweep runs must not
@@ -444,9 +412,16 @@ def test_parser_is_built_once_per_process(capsys, c4_file):
     assert cli._build_parser.cache_info().misses == 1
 
 
-# the pinned cases on at most seven vertices
-SMALL_PINS = [case for case in PINS
-              if case["family"] is None or make(parse_family(case["family"])).n <= 7]
+def _is_small(case):
+    """A case on at most seven vertices, or a sweep of order at most 4: an
+    order-5 sweep checks up to 2^20 digraphs, seconds a run."""
+    argv = case["argv"]
+    if argv[0] == "sweep":
+        return int(argv[argv.index("--n") + 1]) <= 4
+    return case["family"] is None or make(parse_family(case["family"])).n <= 7
+
+
+SMALL_PINS = list(filter(_is_small, PINS))
 
 
 @pytest.mark.parametrize("before", [

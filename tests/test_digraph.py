@@ -384,7 +384,8 @@ def _same_as_validated(d, validated):
 
 
 def test_lazy_attributes_are_descriptors_with_their_docstrings():
-    for name, doc in (("in_rows", "Bit rows of the reversed digraph"), ("vertex_mask", "Mask of all n")):
+    for name, doc in (("n", "The vertex count"), ("in_rows", "Bit rows of the reversed digraph"),
+                      ("vertex_mask", "Mask of all n")):
         lazy = vars(Digraph)[name]
         assert type(lazy) is _lazy and getattr(Digraph, name) is lazy
         assert lazy.__doc__.startswith(doc) and lazy.name == name
@@ -392,22 +393,22 @@ def test_lazy_attributes_are_descriptors_with_their_docstrings():
 
 def test_lazy_attributes_compute_once_into_the_instance_dict(monkeypatch):
     calls = []
-    for name in ("in_rows", "vertex_mask"):
+    for name in ("n", "in_rows", "vertex_mask"):
         lazy = vars(Digraph)[name]
         monkeypatch.setattr(lazy, "func", lambda d, func=lazy.func, name=name: calls.append(name) or func(d))
     for d in (Digraph((0b110, 0b001, 0b010)), next(enumerate_digraphs(3, sink_free=True))):
         calls.clear()
         before = (hash(d), repr(d), Digraph(d.rows) == d)
         assert vars(d) == {"rows": d.rows}
-        first = (d.in_rows, d.vertex_mask)
-        assert vars(d) == {"rows": d.rows, "in_rows": first[0], "vertex_mask": first[1]}
-        assert (d.in_rows, d.vertex_mask) == first and calls == ["in_rows", "vertex_mask"]
-        assert first == (Digraph(d.rows).in_rows, 0b111)
+        first = (d.n, d.in_rows, d.vertex_mask)
+        assert vars(d) == {"rows": d.rows, "n": first[0], "in_rows": first[1], "vertex_mask": first[2]}
+        assert (d.n, d.in_rows, d.vertex_mask) == first and calls == ["n", "in_rows", "vertex_mask"]
+        assert first == (3, Digraph(d.rows).in_rows, 0b111)
         assert (hash(d), repr(d), Digraph(d.rows) == d) == before
-        for name in ("rows", "in_rows", "vertex_mask"):
+        for name in ("rows", "n", "in_rows", "vertex_mask"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(d, name, ())
-        assert vars(d)["in_rows"] == first[0]
+        assert (vars(d)["n"], vars(d)["in_rows"]) == first[:2]
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -423,7 +424,8 @@ def test_n5_stream_digraphs_are_indistinguishable_from_decoded_ones():
     for sink_free in (False, True):
         sample = itertools.islice(enumerate_digraphs(5, sink_free=sink_free), 0, None, 31)
         for d in sample:
-            _same_as_validated(d, digraph_from_code(5, adjacency_code(d)))
+            code = adjacency_code(Digraph(d.rows))  # adjacency_code(d) would fill in d's lazy n
+            _same_as_validated(d, digraph_from_code(5, code))
 
 
 @pytest.mark.parametrize("n", [*range(5), pytest.param(5, marks=pytest.mark.slow)])
