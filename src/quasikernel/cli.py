@@ -3,7 +3,8 @@
 Subcommands: solve, check, sweep, gen, kp, reduce.  Input digraphs are read
 from --input (default stdin) in the line format or, when the payload starts
 with '{', the JSON format.  Exit codes: 0 success / bound holds, 2 check or
-sweep found bound failures, 1 any error.  Identical invocations print
+sweep found bound failures, 1 any error; a closed stdout pipe exits 1
+with nothing on stderr.  Identical invocations print
 byte-identical output.  The argument parser is built once per process, on
 first use; subcommand handlers and solvers are looked up at call time, so
 rebinding a module attribute still takes effect.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import harness
@@ -329,7 +331,17 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Like a filter, stop quietly.  Pointing stdout's descriptor at
+        # devnull keeps the interpreter's final flush of what is still
+        # buffered from printing an error of its own.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_UsageError, ParseError, ValueError, BudgetExceededError, OSError) as e:
         print(f"qk: error: {e}", file=sys.stderr)
         return 1

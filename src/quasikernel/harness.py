@@ -13,6 +13,9 @@ All pass/fail decisions are exact integer cross-multiplications.  Slack is
 the margin to the bound normalized by n (n = 0 digraphs never enter the
 extremal race); a sweep ranks it as an integer pair (numerator, positive
 denominator) by cross-multiplication and reports the least as a Fraction.
+A sweep formats a CheckRecord (adjacency code, hex string, Fraction bound)
+only for a digraph its report keeps: every one under keep_records, else
+the failures and each digraph that sets or ties the least slack so far.
 For alpha <= 1/2 the small and large bounds cannot both fail on one
 digraph, and the sweep enforces that as a bug trap.
 """
@@ -130,18 +133,31 @@ def _frac_str(f: Fraction) -> str:
 
 def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
     """Exact pass/fail of one bound on one digraph."""
-    if spec.sink_free_version and not is_sink_free(d):
-        raise ValueError("spec is for sink-free digraphs but the input has a sink")
+    return _record(d, *_decision(spec)(d))
+
+
+def _decision(spec: ConjectureSpec) -> Callable[[Digraph], tuple[SolveResult, int, int, bool]]:
+    """The spec read once, for check and sweep alike: for a digraph, the
+    solver's result, the bound as limit / den, and whether the objective
+    meets it, decided in integers."""
     solver, minimise, scale = _VARIANTS[spec.variant]
     num, den = spec.alpha.numerator, spec.alpha.denominator
-    res = solver(d)
-    scaled = scale(d)
-    if minimise:  # objective <= n - alpha * scale
-        limit = den * d.n - num * scaled
-        passed = den * res.objective <= limit
-    else:  # objective >= alpha * scale
-        limit = num * scaled
-        passed = den * res.objective >= limit
+    sink_free = spec.sink_free_version
+
+    def decide(d: Digraph) -> tuple[SolveResult, int, int, bool]:
+        if sink_free and not is_sink_free(d):
+            raise ValueError("spec is for sink-free digraphs but the input has a sink")
+        res = solver(d)
+        if minimise:  # objective <= n - alpha * scale
+            limit = den * d.n - num * scale(d)
+            return res, limit, den, den * res.objective <= limit
+        limit = num * scale(d)  # objective >= alpha * scale
+        return res, limit, den, den * res.objective >= limit
+
+    return decide
+
+
+def _record(d: Digraph, res: SolveResult, limit: int, den: int, passed: bool) -> CheckRecord:
     return CheckRecord(d.n, format(adjacency_code(d), "x"), res.objective, _bound(limit, den),
                        passed, res.witness)
 
@@ -154,19 +170,13 @@ _bound = functools.lru_cache(maxsize=1024)(Fraction)
 def slack(record: CheckRecord, spec: ConjectureSpec) -> Fraction | None:
     """Margin to the bound, normalized by n; nonnegative iff the check
     passed.  None on the empty digraph."""
-    pair = _slack_pair(record, _VARIANTS[spec.variant].minimise)
-    return None if pair is None else Fraction(*pair)
-
-
-def _slack_pair(record: CheckRecord, minimise: bool) -> tuple[int, int] | None:
-    """``slack`` as an unreduced (numerator, positive denominator) pair."""
-    n = record.n
-    if n == 0:
+    if record.n == 0:
         return None
     bound = record.bound
-    den = bound.denominator
-    diff = record.objective * den - bound.numerator
-    return (-diff if minimise else diff), den * n
+    diff = record.objective * bound.denominator - bound.numerator
+    if _VARIANTS[spec.variant].minimise:
+        diff = -diff
+    return Fraction(diff, bound.denominator * record.n)
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,7 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     # islice takes a step of at most sys.maxsize
     if not 1 <= shard_count <= sys.maxsize or not 0 <= shard_index < shard_count:
         raise ValueError(f"bad shard {_clip(f'{shard_index}/{shard_count}')}")
+    decide = _decision(spec)
     minimise = _VARIANTS[spec.variant].minimise
     count = 0
     failures: list[CheckRecord] = []
@@ -220,21 +231,26 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     extremal: list[CheckRecord] = []
     records: list[CheckRecord] = []
     for d in itertools.islice(digraphs, shard_index, None, shard_count):
-        rec = check(d, spec)
+        res, limit, den, passed = decide(d)
         count += 1
+        # a digraph kept in several roles shares one record
+        rec = _record(d, res, limit, den, passed) if keep_records or not passed else None
         if keep_records:
             records.append(rec)
-        if not rec.passed:
+        if not passed:
             failures.append(rec)
             _assert_small_large_disjunction(d, spec)
-        pair = _slack_pair(rec, minimise)
-        if pair is not None:
-            num, den = pair
-            if min_num is None or num * min_den < min_num * den:
-                min_num, min_den = pair
-                extremal = [rec]
-            elif num * min_den == min_num * den:
-                extremal.append(rec)
+        n = d.n
+        if n:  # slack = ±(objective * den - limit) / (den * n), unreduced
+            num = res.objective * den - limit
+            if minimise:
+                num = -num
+            scaled = den * n
+            if min_num is None or num * min_den < min_num * scaled:
+                min_num, min_den = num, scaled
+                extremal = [rec or _record(d, res, limit, den, passed)]
+            elif num * min_den == min_num * scaled:
+                extremal.append(rec or _record(d, res, limit, den, passed))
     min_sl = None if min_num is None else Fraction(min_num, min_den)
     return Report(corpus, spec, shard_count, (shard_index,), count,
                   tuple(failures), min_sl, tuple(extremal), tuple(records))
@@ -253,7 +269,7 @@ def _assert_small_large_disjunction(d: Digraph, spec: ConjectureSpec) -> None:
         other = ConjectureSpec("small", spec.alpha, sink_free_version=True)
     else:
         return
-    if not check(d, other).passed:
+    if not _decision(other)(d)[3]:
         raise PostconditionViolationError(
             "small and large bounds both failed; impossible for alpha <= 1/2")
 

@@ -216,10 +216,16 @@ def _is_quasi_kernel_of(d: Digraph, q: int, s: int) -> bool:
     """Q is a quasi-kernel of D[S]: it lies inside S, is independent, and
     every vertex of S has a path of at most two arcs to Q in D[S], so the
     one-step set is clipped to S before the second step."""
-    if not is_independent(d, q) or q & ~s:
+    check_set(d, q)
+    if q & ~s:
         return False
-    once = (q | _row_union(d.in_rows, q)) & s
-    return not s & ~(once | _row_union(d.in_rows, once))
+    in_rows = d.in_rows
+    ins = _row_union(in_rows, q)
+    if ins & q:  # an arc inside Q
+        return False
+    once = (q | ins) & s
+    # the second step from Q is ins again, so it runs over the new vertices only
+    return not s & ~(once | _row_union(in_rows, once & ~q))
 
 
 def min_quasi_kernel(d: Digraph) -> SolveResult:

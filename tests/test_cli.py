@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -52,11 +53,12 @@ PINS = [json.loads(line) for line in
 
 def _pin_id(case):
     """``alg-family-format`` for solve, and ``command-values-family-format``
-    for the other commands; ``--set`` lists stay out of the id, and a long
-    token is clipped as an error message shows it."""
+    for the other commands; ``--set`` lists stay out of the id, a sweep's
+    ``--records`` goes in as ``records`` (it changes the report, not the
+    values), and a long token is clipped as an error message shows it."""
     argv = case["argv"]
-    words = [_clip(w) for prev, w in zip(["", *argv], argv)
-             if not w.startswith("--") and prev not in ("--format", "--set")]
+    words = ["records" if w == "--records" else _clip(w) for prev, w in zip(["", *argv], argv)
+             if (w == "--records" or not w.startswith("--")) and prev not in ("--format", "--set")]
     if words[0] == "solve":
         del words[0]
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "text"
@@ -453,3 +455,38 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert parse(proc.stdout).n == 3
+
+
+def test_closed_stdout_exits_one_without_a_message(capsys, monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    path = tmp_path / "stdout"
+    with open(path, "wb") as f:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(f.fileno()))
+        code = main(["gen", "--family", "cycle:3"])
+        os.write(f.fileno(), b"late")  # the descriptor now points at devnull
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes() == b""
+
+
+def test_reader_closing_the_pipe_early_is_not_an_error():
+    # 22 kB of output: the first block written meets the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "quasikernel.cli",
+                             "gen", "--family", "random:63:1/1:0"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quasikernel.harness as harness
 from quasikernel import ConjectureSpec, Digraph, ParseError, enumerate_digraphs, merge_reports, sweep
 from quasikernel.digraph import adjacency_code
 from quasikernel.generators import make, parse_family
@@ -264,6 +265,50 @@ def test_sweep_ranks_slack_exactly_as_fraction_slack(variant, alpha):
     for stream in streams:
         _assert_ranked_as_fractions(stream, spec)
     _assert_ranked_as_fractions([d for stream in streams for d in stream], spec)
+
+
+def _sweep_pair(digraphs, spec, **shard):
+    """The sweep without records, and the one with records emptied."""
+    eager = sweep(digraphs, spec, "c", keep_records=True, **shard)
+    return sweep(digraphs, spec, "c", **shard), dataclasses.replace(eager, records=())
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 3), HALF, Fraction(1)])
+@pytest.mark.parametrize("variant", ["small", "sources", "large", "sharp"])
+def test_sweep_without_records_keeps_what_the_eager_sweep_keeps(variant, alpha):
+    # a report without records builds a record only for the digraphs it
+    # keeps; at alpha = 1 most digraphs fail and many of them are extremal
+    # too, so one record serves both roles
+    spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
+    for n in range(5):
+        for sink_free in sorted({spec.sink_free_version, True}):
+            for canonical in (False, True):
+                digraphs = list(enumerate_digraphs(n, sink_free=sink_free, canonical=canonical))
+                lazy, eager = _sweep_pair(digraphs, spec)
+                assert lazy == eager
+                shards = [_sweep_pair(digraphs, spec, shard_count=3, shard_index=i) for i in range(3)]
+                lazy, eager = (merge_reports(merge_reports(a, b), c) for a, b, c in zip(*shards))
+                assert lazy == eager
+
+
+def test_sweep_without_records_builds_records_only_for_what_it_keeps(monkeypatch):
+    # every record the sweep could ever keep: a failure, or a digraph that
+    # sets or ties the least slack so far
+    spec = ConjectureSpec("large", HALF)
+    kept, least = 0, None
+    for d in enumerate_digraphs(4):
+        rec = check(d, spec)
+        sl = slack(rec, spec)
+        ranked = sl is not None and (least is None or sl <= least)
+        if ranked:
+            least = sl
+        kept += ranked or not rec.passed
+    calls = []
+    code = harness.adjacency_code
+    monkeypatch.setattr(harness, "adjacency_code", lambda d: calls.append(d) or code(d))
+    rep = sweep(enumerate_digraphs(4), spec, "c")
+    assert rep.count == 4096 and rep.records == ()
+    assert len(calls) == kept < 4096 // 10
 
 
 def test_sweep_keep_records_and_csv(two_cycle):
