@@ -192,11 +192,10 @@ class Report:
     min_slack: Fraction | None
     extremal: tuple[CheckRecord, ...]
     records: tuple[CheckRecord, ...]
-    version: str = HARNESS_VERSION
 
     def to_json(self) -> dict:
         return {
-            "version": self.version,
+            "version": HARNESS_VERSION,
             "corpus": self.corpus,
             "conjecture": {
                 "variant": self.spec.variant,
@@ -278,8 +277,6 @@ def merge_reports(a: Report, b: Report) -> Report:
     """Associative shard merge; corpus, spec, and shard_count must match."""
     if a.corpus != b.corpus or a.spec != b.spec or a.shard_count != b.shard_count:
         raise ValueError("reports come from different sweeps")
-    if a.version != b.version:
-        raise ValueError("reports come from different harness versions")
     overlap = set(a.shard_ids) & set(b.shard_ids)
     if overlap:
         raise ValueError(f"shards {sorted(overlap)} appear in both reports")
@@ -293,7 +290,7 @@ def merge_reports(a: Report, b: Report) -> Report:
         min_sl, extremal = a.min_slack, a.extremal + b.extremal
     return Report(a.corpus, a.spec, a.shard_count, a.shard_ids + b.shard_ids,
                   a.count + b.count, a.failures + b.failures, min_sl, extremal,
-                  a.records + b.records, a.version)
+                  a.records + b.records)
 
 
 def report_to_csv(report: Report) -> str:

@@ -35,8 +35,7 @@ acyclic ones (and at least 2 if there is a dicycle).  The chromatic number
 also builds a first-fit colouring, largest degree first, re-checked as a
 partition into independent parts; only the passes below its size run, and
 it is the answer when they all fail.  The kernel-perfect
-number starts at 2 if D holds an induced directed triangle, re-checked arc by
-arc first, and else at 1.  The searches test only the parts the walk builds,
+number starts at 1.  The searches test only the parts the walk builds,
 one vertex at a time: a predicate says whether a valid part plus the next
 vertex is still valid, and pruning is sound because every part kind is
 hereditary.  Independence is one mask test and acyclicity one reachability
@@ -474,14 +473,14 @@ def _odd_strong_component(rows, in_rows, s: int, v: int) -> int:
     return back
 
 
-def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
+def _kernel_perfect_through(in_rows, und, s: int, v: int) -> bool:
     """Whether every subset of S that contains v induces a subdigraph with a
     kernel.
 
     A set T has a kernel iff some independent K satisfies K <= T <= K +
     N^-(K), so each independent K inside S marks an interval of subsets.
-    Only the sets that contain v are marked, so only a K holding v or an
-    out-neighbour of v counts; all are marked iff 2^(|S| - 1) are.
+    Only the sets that contain v are marked; all are marked iff
+    2^(|S| - 1) are.
     The marks are the bits of one int, indexed by rank: u in S stands for
     ``place[u]`` of the rank table ``_ranks(S)``, bit i for the i-th vertex
     of S, so the int has at most 2^|S| bits whatever the labels.  An
@@ -490,7 +489,6 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
     """
     place = _ranks(s)
     bit = 1 << v
-    hits = rows[v] & s | bit
     marked = 0
     stack = [(0, s, 0, 0)]  # (independent K, vertices that may join K, N^-(K), K's rank mask)
     while stack:
@@ -508,9 +506,7 @@ def _kernel_perfect_through(rows, in_rows, und, s: int, v: int) -> bool:
             low = rest & -rest
             rest ^= low
             u = low.bit_length() - 1
-            grow = rest & ~und[u]
-            if (k | low | grow) & hits:
-                stack.append((k | low, grow, dominated | in_rows[u], ranked | place[u]))
+            stack.append((k | low, rest & ~und[u], dominated | in_rows[u], ranked | place[u]))
     return marked.bit_count() == 1 << (s.bit_count() - 1)
 
 
@@ -562,13 +558,11 @@ def _kernel_perfect_extends(d: Digraph, one_way: list[int]):
        rule 2.  C is accepted if its one-way arcs (u -> w without w -> u)
        form no dicycle: then every dicycle of C has a symmetric arc, and
        such a digraph is kernel-perfect by Duchet's theorem (1980).  Else
-       ``_kernel_perfect_through`` decides.  Verdicts are memoised for the
-       predicate's lifetime.
+       ``_kernel_perfect_through`` decides.
     """
     rows = d.rows
     in_rows = d.in_rows
     und = _underlying_rows(d)
-    verdicts: dict[int, bool] = {}
 
     def ok(part: int, v: int) -> bool:
         if not rows[v] & part or not in_rows[v] & part:
@@ -578,11 +572,7 @@ def _kernel_perfect_extends(d: Digraph, one_way: list[int]):
         strong = _odd_strong_component(rows, in_rows, part | 1 << v, v)
         if not strong:
             return True
-        verdict = verdicts.get(strong)
-        if verdict is None:
-            verdict = verdicts[strong] = (_is_acyclic_rows(one_way, strong)
-                                          or _kernel_perfect_through(rows, in_rows, und, strong, v))
-        return verdict
+        return _is_acyclic_rows(one_way, strong) or _kernel_perfect_through(in_rows, und, strong, v)
 
     return ok
 
@@ -679,26 +669,6 @@ def _dichromatic_bound(d: Digraph) -> int:
     return lower if lower > 1 or is_acyclic_set(d, d.vertex_mask) else 2
 
 
-def _kernel_perfect_bound(d: Digraph) -> int:
-    """2 if D holds an induced directed triangle, which no kernel-perfect
-    part can hold, else 1.  The triangle is re-checked arc by arc first:
-    three vertices, each with one out-neighbour among them and no arc back
-    from it."""
-    rows = d.rows
-    in_rows = d.in_rows
-    for v in range(d.n):
-        pair = _induced_triangle(rows, in_rows, d.vertex_mask, v)
-        if pair:
-            triangle = pair | 1 << v
-            if triangle.bit_count() != 3 or any((rows[u] & triangle).bit_count() != 1
-                                                or rows[u] & in_rows[u] & triangle
-                                                for u in iter_bits(triangle)):
-                raise PostconditionViolationError(
-                    "kernel-perfect bound came from a set that is not an induced directed triangle")
-            return 2
-    return 1
-
-
 def _check_partition_budget(n: int) -> None:
     """Refuse a partition search on more than PARTITION_BUDGET vertices."""
     if n > PARTITION_BUDGET:
@@ -752,7 +722,7 @@ def kernel_perfect_number(d: Digraph) -> tuple[int, Partition]:
     first certifying partition in restricted-growth order."""
     _check_partition_budget(d.n)
     ok = _kernel_perfect_extends(d, _one_way_rows(d))
-    k, parts = _partition_number(d, "kernel-perfect", ok, _kernel_perfect_bound(d), None)
+    k, parts = _partition_number(d, "kernel-perfect", ok, 1, None)
     return k, Partition(parts)
 
 

@@ -188,7 +188,8 @@ def test_corpus_members_have_the_stated_order():
     loose = corpus(13)["isolated then mycielski M4 parity"]
     assert solvers._clique_bound(solvers._underlying_rows(loose)) == 2 and chromatic_number(loose) == 4
     blowup = corpus(13)["odd-cycle blowup"]
-    assert solvers._kernel_perfect_bound(blowup) == 1
+    assert not any(solvers._induced_triangle(blowup.rows, blowup.in_rows, blowup.vertex_mask, v)
+                   for v in range(blowup.n))
     assert not _is_acyclic_rows(solvers._one_way_rows(blowup), blowup.vertex_mask)
 
 

@@ -381,7 +381,6 @@ def test_merge_reassembles_shards():
 def test_merge_rejects_mismatches():
     corpus = all_digraphs(2)
     a = sweep(corpus, ConjectureSpec("large", HALF), "c", shard_count=2, shard_index=0)
-    b = sweep(corpus, ConjectureSpec("large", HALF), "c", shard_count=2, shard_index=1)
     with pytest.raises(ValueError):
         merge_reports(a, a)  # overlapping shard ids
     with pytest.raises(ValueError):
@@ -392,8 +391,6 @@ def test_merge_rejects_mismatches():
                                shard_count=2, shard_index=1))
     with pytest.raises(ValueError):
         merge_reports(a, sweep(corpus, ConjectureSpec("large", HALF), "c"))
-    with pytest.raises(ValueError):
-        merge_reports(a, dataclasses.replace(b, version="0"))
 
 
 def test_report_json_roundtrip():
