@@ -136,30 +136,30 @@ def check(d: Digraph, spec: ConjectureSpec) -> CheckRecord:
     return _record(d, *_decision(spec)(d))
 
 
-def _decision(spec: ConjectureSpec) -> Callable[[Digraph], tuple[SolveResult, int, int, bool]]:
+def _decision(spec: ConjectureSpec) -> Callable[[Digraph], tuple[SolveResult, int, int, int]]:
     """The spec read once, for check and sweep alike: for a digraph, the
-    solver's result, the bound as limit / den, and whether the objective
-    meets it, decided in integers."""
+    solver's result, the bound as limit / den, and the signed margin of
+    den * objective over limit, nonnegative iff the check passes."""
     solver, minimise, scale = _VARIANTS[spec.variant]
     num, den = spec.alpha.numerator, spec.alpha.denominator
     sink_free = spec.sink_free_version
 
-    def decide(d: Digraph) -> tuple[SolveResult, int, int, bool]:
+    def decide(d: Digraph) -> tuple[SolveResult, int, int, int]:
         if sink_free and not is_sink_free(d):
             raise ValueError("spec is for sink-free digraphs but the input has a sink")
         res = solver(d)
         if minimise:  # objective <= n - alpha * scale
             limit = den * d.n - num * scale(d)
-            return res, limit, den, den * res.objective <= limit
+            return res, limit, den, limit - den * res.objective
         limit = num * scale(d)  # objective >= alpha * scale
-        return res, limit, den, den * res.objective >= limit
+        return res, limit, den, den * res.objective - limit
 
     return decide
 
 
-def _record(d: Digraph, res: SolveResult, limit: int, den: int, passed: bool) -> CheckRecord:
+def _record(d: Digraph, res: SolveResult, limit: int, den: int, margin: int) -> CheckRecord:
     return CheckRecord(d.n, format(adjacency_code(d), "x"), res.objective, _bound(limit, den),
-                       passed, res.witness)
+                       margin >= 0, res.witness)
 
 
 # Checks at one alpha that share n and the count alpha multiplies share their
@@ -223,33 +223,29 @@ def sweep(digraphs: Iterable[Digraph], spec: ConjectureSpec, corpus: str,
     if not 1 <= shard_count <= sys.maxsize or not 0 <= shard_index < shard_count:
         raise ValueError(f"bad shard {_clip(f'{shard_index}/{shard_count}')}")
     decide = _decision(spec)
-    minimise = _VARIANTS[spec.variant].minimise
     count = 0
     failures: list[CheckRecord] = []
     min_num = min_den = None  # the least slack so far, as min_num / min_den
     extremal: list[CheckRecord] = []
     records: list[CheckRecord] = []
     for d in itertools.islice(digraphs, shard_index, None, shard_count):
-        res, limit, den, passed = decide(d)
+        res, limit, den, margin = decide(d)
         count += 1
         # a digraph kept in several roles shares one record
-        rec = _record(d, res, limit, den, passed) if keep_records or not passed else None
+        rec = _record(d, res, limit, den, margin) if keep_records or margin < 0 else None
         if keep_records:
             records.append(rec)
-        if not passed:
+        if margin < 0:
             failures.append(rec)
             _assert_small_large_disjunction(d, spec)
         n = d.n
-        if n:  # slack = ±(objective * den - limit) / (den * n), unreduced
-            num = res.objective * den - limit
-            if minimise:
-                num = -num
+        if n:  # slack = margin / (den * n), unreduced
             scaled = den * n
-            if min_num is None or num * min_den < min_num * scaled:
-                min_num, min_den = num, scaled
-                extremal = [rec or _record(d, res, limit, den, passed)]
-            elif num * min_den == min_num * scaled:
-                extremal.append(rec or _record(d, res, limit, den, passed))
+            if min_num is None or margin * min_den < min_num * scaled:
+                min_num, min_den = margin, scaled
+                extremal = [rec or _record(d, res, limit, den, margin)]
+            elif margin * min_den == min_num * scaled:
+                extremal.append(rec or _record(d, res, limit, den, margin))
     min_sl = None if min_num is None else Fraction(min_num, min_den)
     return Report(corpus, spec, shard_count, (shard_index,), count,
                   tuple(failures), min_sl, tuple(extremal), tuple(records))
@@ -268,7 +264,7 @@ def _assert_small_large_disjunction(d: Digraph, spec: ConjectureSpec) -> None:
         other = ConjectureSpec("small", spec.alpha, sink_free_version=True)
     else:
         return
-    if not _decision(other)(d)[3]:
+    if _decision(other)(d)[3] < 0:
         raise PostconditionViolationError(
             "small and large bounds both failed; impossible for alpha <= 1/2")
 

@@ -31,16 +31,15 @@ The partition numbers try k = lower, lower + 1, ... and walk
 restricted-growth strings, adding the vertices in ascending order.  The two
 colouring numbers start at the size of a greedy clique, re-checked pairwise
 first: of the underlying graph for independent parts, of the digons for
-acyclic ones (and at least 2 if there is a dicycle).  The chromatic number
-also builds a first-fit colouring, largest degree first, re-checked as a
-partition into independent parts; only the passes below its size run, and
-it is the answer when they all fail.  The kernel-perfect
-number starts at 1.  The searches test only the parts the walk builds,
-one vertex at a time: a predicate says whether a valid part plus the next
-vertex is still valid, and pruning is sound because every part kind is
-hereditary.  Independence is one mask test and acyclicity one reachability
-search.  Kernel-perfectness tries three rules and a reject, in the order
-below (proofs at ``_kernel_perfect_extends``):
+acyclic ones.  The chromatic number also builds a first-fit colouring,
+largest degree first, re-checked as a partition into independent parts;
+only the passes below its size run, and it is the answer when they all
+fail.  The kernel-perfect number starts at 1.  The searches test only the
+parts the walk builds, one vertex at a time: a predicate says whether a
+valid part plus the next vertex is still valid, and pruning is sound
+because every part kind is hereditary.  Independence is one mask test and
+acyclicity one reachability search.  Kernel-perfectness tries three rules
+and a reject, in the order below (proofs at ``_kernel_perfect_extends``):
 
 * rule 1 accepts if the new vertex is a sink or a source of the part: a
   kernel of each subset extends to one with it;
@@ -662,13 +661,6 @@ def _clique_bound(adj: list[int]) -> int:
     return clique.bit_count()
 
 
-def _dichromatic_bound(d: Digraph) -> int:
-    """An acyclic part holds at most one vertex of a clique of digons, and
-    a digraph with a dicycle needs two parts."""
-    lower = _clique_bound([row & in_row for row, in_row in zip(d.rows, d.in_rows)])
-    return lower if lower > 1 or is_acyclic_set(d, d.vertex_mask) else 2
-
-
 def _check_partition_budget(n: int) -> None:
     """Refuse a partition search on more than PARTITION_BUDGET vertices."""
     if n > PARTITION_BUDGET:
@@ -756,9 +748,12 @@ def chromatic_number(d: Digraph) -> int:
 
 
 def dichromatic_number(d: Digraph) -> int:
-    """Least number of acyclic parts covering the vertex set."""
+    """Least number of acyclic parts covering the vertex set.  An acyclic
+    part holds at most one vertex of a clique of digons, so the search
+    starts at the size of a greedy one."""
     _check_partition_budget(d.n)
-    return _partition_number(d, "acyclic", _acyclic_extends(d), _dichromatic_bound(d), is_acyclic_set)[0]
+    digons = [row & in_row for row, in_row in zip(d.rows, d.in_rows)]
+    return _partition_number(d, "acyclic", _acyclic_extends(d), _clique_bound(digons), is_acyclic_set)[0]
 
 
 # ---------------------------------------------------------------------------

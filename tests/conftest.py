@@ -70,6 +70,10 @@ def least_codes(n):
     return tuple(oracles.oracle_least_code(d) for d in all_digraphs(n))
 
 
+# adjacency codes of the labeled digraphs on 4 vertices
+n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
+
+
 @st.composite
 def seeded_digraphs(draw, lo, hi):
     """Seeded random digraphs on lo..hi vertices with arc probability 1/8,

@@ -234,17 +234,6 @@ def oracle_chromatic(d):
     raise AssertionError("unreachable")
 
 
-def oracle_dichromatic(d):
-    if d.n == 0:
-        return 0
-    for k in range(1, d.n + 1):
-        for colours in itertools.product(range(k), repeat=d.n):
-            classes = [{v for v in range(d.n) if colours[v] == c} for c in range(k)]
-            if all(oracle_is_acyclic(d, cls) for cls in classes):
-                return k
-    raise AssertionError("unreachable")
-
-
 def oracle_is_kernel_perfect(d, s):
     """Every subset of s spans a digraph with a kernel (checked directly)."""
     adj = adj_of(d)

@@ -239,18 +239,43 @@ def _record_key(record):
 
 def _assert_ranked_as_fractions(digraphs, spec):
     """The sweep's least slack and extremal records are those of slack()'s
-    Fractions, and three shards of the corpus merge back into the sweep."""
+    Fractions, and three shards of the corpus merge back into the sweep;
+    returns the sweep and the merged shards."""
     whole = sweep(digraphs, spec, "c", keep_records=True)
     ranked = [(r, slack(r, spec)) for r in whole.records if r.n]
     least = min((sl for _, sl in ranked), default=None)
     assert whole.min_slack == least
     assert least is None or type(whole.min_slack) is Fraction
     assert whole.extremal == tuple(r for r, sl in ranked if sl == least)
-    left, mid, right = (sweep(digraphs, spec, "c", shard_count=3, shard_index=i, keep_records=True)
-                        for i in range(3))
-    merged = merge_reports(merge_reports(left, mid), right)
+    merged = _merged_shards(digraphs, spec, keep_records=True)
     assert _aggregate(merged) == _aggregate(whole)
     assert sorted(merged.records, key=_record_key) == sorted(whole.records, key=_record_key)
+    return whole, merged
+
+
+def _merged_shards(digraphs, spec, keep_records=False):
+    left, mid, right = (sweep(digraphs, spec, "c", shard_count=3, shard_index=i, keep_records=keep_records)
+                        for i in range(3))
+    return merge_reports(merge_reports(left, mid), right)
+
+
+def _streams(spec):
+    """Every n <= 4 stream the spec's sweeps read, labeled and canonical."""
+    return {(n, canonical, sink_free): list(enumerate_digraphs(n, sink_free=sink_free, canonical=canonical))
+            for n in range(5) for canonical in (False, True)
+            for sink_free in sorted({spec.sink_free_version, True})}
+
+
+_eager_reports = {}
+
+
+def _eager_pair(spec, key, stream):
+    """The eager sweep of a stream and its merged shards, records emptied;
+    both sweep-equivalence tests read it, so each stream is swept once."""
+    if (spec, key) not in _eager_reports:
+        whole, merged = _assert_ranked_as_fractions(stream, spec)
+        _eager_reports[spec, key] = tuple(dataclasses.replace(r, records=()) for r in (whole, merged))
+    return _eager_reports[spec, key]
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1)])
@@ -259,18 +284,10 @@ def test_sweep_ranks_slack_exactly_as_fraction_slack(variant, alpha):
     # the sweep ranks slack as unreduced integer pairs; one corpus of all the
     # streams mixes orders, so equal numerators meet different denominators
     spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
-    streams = [list(enumerate_digraphs(n, sink_free=sink_free, canonical=canonical))
-               for n in range(5) for canonical in (False, True)
-               for sink_free in {spec.sink_free_version, True}]
-    for stream in streams:
-        _assert_ranked_as_fractions(stream, spec)
-    _assert_ranked_as_fractions([d for stream in streams for d in stream], spec)
-
-
-def _sweep_pair(digraphs, spec, **shard):
-    """The sweep without records, and the one with records emptied."""
-    eager = sweep(digraphs, spec, "c", keep_records=True, **shard)
-    return sweep(digraphs, spec, "c", **shard), dataclasses.replace(eager, records=())
+    streams = _streams(spec)
+    for key, stream in streams.items():
+        _eager_pair(spec, key, stream)
+    _assert_ranked_as_fractions([d for stream in streams.values() for d in stream], spec)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 3), HALF, Fraction(1)])
@@ -280,15 +297,10 @@ def test_sweep_without_records_keeps_what_the_eager_sweep_keeps(variant, alpha):
     # keeps; at alpha = 1 most digraphs fail and many of them are extremal
     # too, so one record serves both roles
     spec = ConjectureSpec(variant, alpha, sink_free_version=variant == "small")
-    for n in range(5):
-        for sink_free in sorted({spec.sink_free_version, True}):
-            for canonical in (False, True):
-                digraphs = list(enumerate_digraphs(n, sink_free=sink_free, canonical=canonical))
-                lazy, eager = _sweep_pair(digraphs, spec)
-                assert lazy == eager
-                shards = [_sweep_pair(digraphs, spec, shard_count=3, shard_index=i) for i in range(3)]
-                lazy, eager = (merge_reports(merge_reports(a, b), c) for a, b, c in zip(*shards))
-                assert lazy == eager
+    for key, stream in _streams(spec).items():
+        whole, merged = _eager_pair(spec, key, stream)
+        assert sweep(stream, spec, "c") == whole
+        assert _merged_shards(stream, spec) == merged
 
 
 def test_sweep_without_records_builds_records_only_for_what_it_keeps(monkeypatch):

@@ -326,12 +326,3 @@ def test_via_ii_oracle_maps_the_largest_witness_back(monkeypatch):
             assert is_quasi_kernel(d, res.witness)
             [qp] = answers
             assert checked[-1] == (d, qp | (split.q1 & ~n_minus_set(d, qp)))
-
-
-@given(sink_free_4_index)
-@settings(max_examples=60, deadline=None)
-def test_via_ii_bound_n4(i):
-    d = all_digraphs(4, sink_free=True)[i]
-    res = qk_via_ii_oracle(d, Fraction(1, 2))
-    assert is_quasi_kernel(d, res.witness)
-    assert 3 * res.witness.bit_count() <= 2 * d.n

@@ -39,7 +39,6 @@ from quasikernel.solvers import (
     SolveResult,
     _acyclic_extends,
     _clique_bound,
-    _dichromatic_bound,
     _greedy_clique,
     _greedy_colouring,
     _independent_extends,
@@ -52,18 +51,16 @@ from quasikernel.solvers import (
     _one_way_rows,
     _partition_number,
     _underlying_rows,
-    check_set,
     is_kernel_perfect,
     is_quasi_kernel,
     quasi_kernels,
 )
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set, set_to_mask, seeded_digraphs
+from conftest import all_digraphs, dg, mask_to_set, n4_codes, set_to_mask, seeded_digraphs
 from test_budgets import corpus
 
 
-n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
 n5_codes = st.integers(min_value=0, max_value=(1 << 20) - 1)
 
 
@@ -180,10 +177,11 @@ def test_min_quasi_kernel_budget():
         min_quasi_kernel(dg(33, [(v, 0) for v in range(1, 33)]))
 
 
-def _digraphs_of_order(lo, hi):
-    return st.integers(min_value=lo, max_value=hi).flatmap(
-        lambda n: st.builds(digraph_from_code, st.just(n),
-                            st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
+@st.composite
+def digraphs(draw, lo, hi):
+    """Labeled digraphs on lo..hi vertices, drawn by adjacency code."""
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    return digraph_from_code(n, draw(st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
 
 
 def _scored_sets(d, s, undirected):
@@ -225,7 +223,7 @@ def test_maximal_independent_sets_match_oracle_exhaustively():
             _mis_matches_oracle(d)
 
 
-@given(_digraphs_of_order(6, 9))
+@given(digraphs(6, 9))
 @settings(max_examples=60, deadline=None)
 def test_maximal_independent_sets_match_oracle(d):
     _mis_matches_oracle(d)
@@ -293,20 +291,10 @@ def test_max_witness_is_first_optimum_exhaustively():
             _max_witness_is_first_optimum(d)
 
 
-@given(_digraphs_of_order(6, 9))
+@given(digraphs(6, 9))
 @settings(max_examples=40, deadline=None)
 def test_max_witness_is_first_optimum(d):
     _max_witness_is_first_optimum(d)
-
-
-def test_max_large_is_the_least_kernel_exhaustively():
-    # only a kernel covers every vertex in one step, so when D has one the
-    # large optimum is n and its first witness the least kernel mask
-    for n in range(5):
-        for d in all_digraphs(n):
-            kernels = oracles.oracle_kernels(d)
-            if kernels:
-                assert max_large_quasi_kernel(d) == SolveResult(min(map(set_to_mask, kernels)), n, True)
 
 
 @pytest.mark.parametrize("family,fake", [("cycle:4", 0b0001), ("cycle:3", 0b001), ("cycle:4", 0b0011)])
@@ -429,12 +417,6 @@ def test_quasi_kernels_budget():
 
 # ---------------------------------------------------------------------------
 # kernel-perfect sets and partition numbers
-
-
-@st.composite
-def digraphs(draw, lo, hi):
-    n = draw(st.integers(min_value=lo, max_value=hi))
-    return digraph_from_code(n, draw(st.integers(min_value=0, max_value=(1 << n * (n - 1)) - 1)))
 
 
 def test_is_kernel_perfect_matches_oracle():
@@ -582,8 +564,8 @@ def _kp_extends(d):
     return _kernel_perfect_extends(d, _one_way_rows(d))
 
 
-def _chromatic_bound(d):
-    return _clique_bound(_underlying_rows(d))
+def _digon_rows(d):
+    return [row & in_row for row, in_row in zip(d.rows, d.in_rows)]
 
 
 # part kind -> (oracle predicate, search predicate of D, re-check of each part)
@@ -594,46 +576,38 @@ PART_SEARCHES = {
                     is_independent),
 }
 
-# colouring part kind -> the lower bound its number's search starts from
-BOUNDS = {"acyclic": _dichromatic_bound, "independent": _chromatic_bound}
-
-
-def assert_clique_bounds(d, chromatic, dichromatic):
-    """The greedy cliques of the underlying and the digon graph are cliques,
-    and the bounds they give are at most the two oracle numbers."""
-    arcs = set(d.arcs())
-    for adj, joined in ((_underlying_rows(d), lambda u, w: (u, w) in arcs or (w, u) in arcs),
-                        ([row & in_row for row, in_row in zip(d.rows, d.in_rows)],
-                         lambda u, w: (u, w) in arcs and (w, u) in arcs)):
-        clique = _greedy_clique(adj)
-        assert clique & ~d.vertex_mask == 0
-        assert all(joined(u, w) for u, w in itertools.combinations(vertices_of(clique), 2))
-    assert _chromatic_bound(d) <= chromatic
-    assert _dichromatic_bound(d) <= dichromatic
+# colouring part kind -> the graph whose greedy clique bounds its number
+# from below, as symmetric rows and as a test on the arcs
+CLIQUES = {
+    "acyclic": (_digon_rows, lambda arcs, u, w: (u, w) in arcs and (w, u) in arcs),
+    "independent": (_underlying_rows, lambda arcs, u, w: (u, w) in arcs or (w, u) in arcs),
+}
 
 
 def assert_partitions_match_oracle(d):
     """Same k and the same first restricted-growth parts as the oracle,
-    whether a colouring search starts at k = 1 or at its lower bound."""
+    whether a colouring search starts at k = 1 or at its lower bound, and
+    that bound comes from a clique."""
+    arcs = set(d.arcs())
     got = {}
     for kind, (oracle_ok, extends, part_ok) in PART_SEARCHES.items():
         want_k, blocks = oracles.oracle_first_partition(d, oracle_ok)
         want = (want_k, tuple(set_to_mask(b) for b in blocks))
         got[kind] = _partition_number(d, kind, extends(d), 1, part_ok)
         assert got[kind] == want, kind
-        if kind in BOUNDS:
-            assert _partition_number(d, kind, extends(d), BOUNDS[kind](d), part_ok) == want, kind
-    assert_clique_bounds(d, got["independent"][0], got["acyclic"][0])
+        if kind in CLIQUES:
+            rows, joined = CLIQUES[kind]
+            adj = rows(d)
+            clique = _greedy_clique(adj)
+            assert clique & ~d.vertex_mask == 0
+            assert all(joined(arcs, u, w) for u, w in itertools.combinations(vertices_of(clique), 2))
+            lower = _clique_bound(adj)
+            assert lower <= want_k, kind
+            assert _partition_number(d, kind, extends(d), lower, part_ok) == want, kind
     k, parts = got["kernel-perfect"]
     assert kernel_perfect_number(d) == (k, Partition(parts))
     assert dichromatic_number(d) == got["acyclic"][0]
     assert chromatic_number(d) == got["independent"][0]
-
-
-def test_clique_bounds_match_the_colouring_oracles():
-    for n in range(5):
-        for d in all_digraphs(n):
-            assert_clique_bounds(d, oracles.oracle_chromatic(d), oracles.oracle_dichromatic(d))
 
 
 @pytest.mark.parametrize("number,spec,non_clique", [
@@ -702,17 +676,17 @@ def test_partition_numbers_match_oracle_on_the_budget_corpus(name):
 
 
 @st.composite
-def relabelled_unions(draw):
-    """Seeded digraphs A and B with n_A + n_B <= PARTITION_BUDGET, and
-    their disjoint union under a random relabelling."""
-    a = draw(seeded_digraphs(1, solvers.PARTITION_BUDGET - 1))
-    b = draw(seeded_digraphs(1, solvers.PARTITION_BUDGET - a.n))
+def relabelled_unions(draw, budget):
+    """Seeded digraphs A and B with n_A + n_B <= budget, and their disjoint
+    union under a random relabelling."""
+    a = draw(seeded_digraphs(1, budget - 1))
+    b = draw(seeded_digraphs(1, budget - a.n))
     union = disjoint_union(a, b)
     label = draw(st.permutations(range(union.n)))
     return a, b, dg(union.n, [(label[u], label[w]) for u, w in union.arcs()])
 
 
-@given(relabelled_unions())
+@given(relabelled_unions(solvers.PARTITION_BUDGET))
 @settings(max_examples=60, deadline=None)
 def test_partition_numbers_of_a_relabelled_union_are_the_larger(case):
     # each part kind is closed under disjoint union: the i-th parts of A and
@@ -720,6 +694,20 @@ def test_partition_numbers_of_a_relabelled_union_are_the_larger(case):
     a, b, d = case
     for number in (lambda d: kernel_perfect_number(d)[0], dichromatic_number, chromatic_number):
         assert number(d) == max(number(a), number(b))
+
+
+@given(relabelled_unions(solvers.MIN_QK_BUDGET))
+@settings(max_examples=80, deadline=None)
+def test_objectives_and_kernels_of_a_relabelled_union_are_the_sums(case):
+    # every term of the three objectives is counted per component, and a
+    # set is a kernel of A + B iff it is a kernel of A plus one of B
+    a, b, d = case
+    for solver in (min_quasi_kernel, max_large_quasi_kernel, max_sharp_quasi_kernel):
+        assert solver(d).objective == solver(a).objective + solver(b).objective
+    ka, kb, kd = map(find_kernel, (a, b, d))
+    assert (kd.witness is None) == (ka.witness is None or kb.witness is None)
+    if kd.witness is not None:
+        assert kd.objective == ka.objective + kb.objective
 
 
 def _rule_3_forbidden(*_):
@@ -920,12 +908,6 @@ def test_partition_search_rechecks_each_part(monkeypatch, kind):
         _partition_number(d, kind, extends(d), 1, part_ok)
 
 
-def test_chromatic_and_dichromatic_match_oracles():
-    for d in all_digraphs(3):
-        assert chromatic_number(d) == oracles.oracle_chromatic(d)
-        assert dichromatic_number(d) == oracles.oracle_dichromatic(d)
-
-
 def test_empty_digraph_numbers():
     d = Digraph(())
     k, part = kernel_perfect_number(d)
@@ -945,20 +927,6 @@ def test_heavy_set_on_the_greedy_defeater():
     d = dg(4, [(1, 0), (0, 2), (3, 1)])
     r = heavy_independent_set(d)
     assert n_minus_set(d, r).bit_count() >= n_plus_set(d, r).bit_count()
-
-
-@given(n5_codes)
-@settings(max_examples=80)
-def test_heavy_set_properties(code):
-    d = digraph_from_code(5, code)
-    r = heavy_independent_set(d)
-    check_set(d, r)
-    assert n_minus_set(d, r).bit_count() >= n_plus_set(d, r).bit_count()
-    und = r
-    for v in vertices_of(r):
-        und |= d.rows[v] | d.in_rows[v]
-        assert not (d.rows[v] & r)
-    assert und == d.vertex_mask
 
 
 def test_heavy_set_absent_at_n6():

@@ -44,12 +44,8 @@ from quasikernel import theorems
 from quasikernel.theorems import SmallQkTrace, _extend_within
 
 import oracles
-from conftest import all_digraphs, dg, mask_to_set, seeded_digraphs, set_to_mask
+from conftest import all_digraphs, dg, mask_to_set, n4_codes, seeded_digraphs, set_to_mask
 from oracles import oracle_sources_via_blowup
-
-
-sink_free_n3 = list(enumerate_digraphs(3, sink_free=True))
-n4_codes = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
 
 def independent_partition(d):
@@ -236,13 +232,13 @@ def test_small_exhaustive_n4_with_kp_partition():
     assert branches == {"part", "otherwise"}
 
 
-@given(st.sampled_from(sink_free_n3))
-def test_small_with_independent_partition(d):
-    part = independent_partition(d)
-    k = max(len(part.parts), 2)
-    trace = small_qk_from_partition(d, part)
-    assert is_quasi_kernel(d, trace.result)
-    assert k * trace.result.bit_count() <= (k - 1) * d.n
+def test_small_with_independent_partition():
+    for d in all_digraphs(3, sink_free=True):
+        part = independent_partition(d)
+        k = max(len(part.parts), 2)
+        trace = small_qk_from_partition(d, part)
+        assert is_quasi_kernel(d, trace.result)
+        assert k * trace.result.bit_count() <= (k - 1) * d.n
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +253,22 @@ def test_large_golden(c3):
     assert res.verified
 
 
+def _assert_large_bound(orders):
+    for n in orders:
+        for d in all_digraphs(n):
+            k, part = kernel_perfect_number(d)
+            k = max(k, 2)
+            res = large_qk_from_partition(d, part)
+            assert is_quasi_kernel(d, res.witness)
+            assert k * res.objective >= d.n
+
+
 def test_large_exhaustive_n3():
-    for d in all_digraphs(3):
-        k, part = kernel_perfect_number(d)
-        k = max(k, 2)
-        res = large_qk_from_partition(d, part)
-        assert is_quasi_kernel(d, res.witness)
-        assert k * res.objective >= d.n
+    _assert_large_bound(range(4))
 
 
-@given(n4_codes)
-@settings(max_examples=60)
-def test_large_n4(code):
-    d = digraph_from_code(4, code)
-    k, part = kernel_perfect_number(d)
-    res = large_qk_from_partition(d, part)
-    assert is_quasi_kernel(d, res.witness)
-    assert max(k, 2) * res.objective >= d.n
+def test_large_n4():
+    _assert_large_bound([4])
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +294,23 @@ def test_sources_tolerates_sinks():
     assert k * res.witness.bit_count() <= k * d.n - sources_not_sinks(d).bit_count()
 
 
+def _assert_sources_bound(orders):
+    for n in orders:
+        for d in all_digraphs(n):
+            k, part = kernel_perfect_number(d)
+            keff = max(k, 2)
+            res = small_qk_with_sources(d, part)
+            s = sources_not_sinks(d).bit_count()
+            assert is_quasi_kernel(d, res.witness)
+            assert keff * res.witness.bit_count() <= keff * d.n - s
+
+
 def test_sources_exhaustive_n3():
-    for d in all_digraphs(3):
-        k, part = kernel_perfect_number(d)
-        keff = max(k, 2)
-        res = small_qk_with_sources(d, part)
-        s = sources_not_sinks(d).bit_count()
-        assert is_quasi_kernel(d, res.witness)
-        assert keff * res.witness.bit_count() <= keff * d.n - s
+    _assert_sources_bound(range(4))
 
 
-@given(n4_codes)
-@settings(max_examples=60, deadline=None)
-def test_sources_n4(code):
-    d = digraph_from_code(4, code)
-    k, part = kernel_perfect_number(d)
-    keff = max(k, 2)
-    res = small_qk_with_sources(d, part)
-    s = sources_not_sinks(d).bit_count()
-    assert is_quasi_kernel(d, res.witness)
-    assert keff * res.witness.bit_count() <= keff * d.n - s
+def test_sources_n4():
+    _assert_sources_bound([4])
 
 
 def _assert_sources_match_blowup(d):
